@@ -23,7 +23,6 @@ from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import FaultSet
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
 from repro.sim.config import setup_config
-from repro.sim.gem5 import build_sim
 from repro.bench import suite
 
 
@@ -32,24 +31,23 @@ def _measure(structure: str, n: int):
     program = suite.program("sha", "x86")
     dispatcher = InjectorDispatcher(config, program)
     golden = dispatcher.run_golden()
-    sim = build_sim(program, config)
-    info = StructureInfo.of_site(sim.fault_sites()[structure])
+    info = StructureInfo.of_site(dispatcher.fault_sites()[structure])
     sets = FaultMaskGenerator(_figures.bench_seed()).generate(
         info, golden.cycles, count=n)
 
-    def run(early_stop: bool):
-        # Both variants restore from the same checkpoints, so comparing
-        # end-of-run cycle counts compares the simulated work directly.
-        t0 = time.time()
-        cycles = 0
-        for fs in sets:
+    # Both variants restore from the same checkpoints, so comparing
+    # end-of-run cycle counts compares the simulated work directly.
+    # Which variant runs first alternates per fault set, so warm-up
+    # (decode memo, allocator) favours neither side.
+    cycles = {True: 0, False: 0}
+    wall = {True: 0.0, False: 0.0}
+    for i, fs in enumerate(sets):
+        for early_stop in ((True, False) if i % 2 == 0 else (False, True)):
+            t0 = time.perf_counter()
             rec = dispatcher.inject(fs, early_stop=early_stop)
-            cycles += rec.cycles
-        return cycles, time.time() - t0
-
-    fast_cycles, fast_wall = run(True)
-    slow_cycles, slow_wall = run(False)
-    return fast_cycles, slow_cycles, fast_wall, slow_wall
+            wall[early_stop] += time.perf_counter() - t0
+            cycles[early_stop] += rec.cycles
+    return cycles[True], cycles[False], wall[True], wall[False]
 
 
 def test_early_stop_speedup(benchmark, results_dir):
@@ -96,9 +94,9 @@ def _measure_prune(setup: str, bench_name: str, structure: str, n: int):
                                      seed=_figures.bench_seed(),
                                      prune=policy)
         campaign.prepare(injections=n)
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = campaign.run()
-        wall = time.time() - t0
+        wall = time.perf_counter() - t0
         row = {"run_wall_s": wall, "counts": result.classify()}
         if result.prune is not None:
             row["prune"] = {k: result.prune[k] for k in

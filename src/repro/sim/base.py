@@ -23,8 +23,8 @@ import struct
 from repro.errors import SimAssertError, SimCrashError
 from repro.isa import arm as arm_isa
 from repro.isa import x86 as x86_isa
-from repro.isa.common import (NUM_ARCH_REGS, ArithFault, Instr, UOp,
-                              alu_exec, cond_holds, u32)
+from repro.isa.common import (BRANCH_CONDS, NUM_ARCH_REGS, ArithFault,
+                              Instr, UOp, alu_exec, cond_holds, u32)
 from repro.sim.kernel import Kernel, KernelPanic, ProcessExit, ProcessKilled
 from repro.sim.memory import MemFault, Memory, PAGE_SHIFT, PERM_R, PERM_W, \
     PERM_X
@@ -41,6 +41,12 @@ from repro.uarch.tlb import TLB
 _ISA_MODULES = {"x86": x86_isa, "arm": arm_isa}
 
 _ALU_LAT = {"mul": 3, "div": 12, "mod": 12}
+# Ops that take a complex-ALU port at issue.
+_COMPLEX_OPS = frozenset(_ALU_LAT)
+# IQ op codes that no ALU can execute (reachable only through a
+# corrupted issue-queue entry).
+_NOT_ALU_OPS = frozenset(("eq", "ne", "lt", "le", "gt", "ge", "ult", "ule",
+                          "ugt", "uge", "none"))
 
 # Module-level decode memo: decoding is a pure function of the fetched
 # bytes, so entries are safe to share across runs and simulators.
@@ -367,6 +373,11 @@ class OoOCore:
         pa = tlb.translate(va, self.cycle)
         if pa is not None:
             return pa, 0
+        return self._translate_miss(va, tlb, instruction)
+
+    def _translate_miss(self, va: int, tlb: TLB,
+                        instruction: bool) -> tuple[int, int]:
+        """Walk the page table for a TLB miss and insert the result."""
         self.stats["itlb_miss" if instruction else "dtlb_miss"] += 1
         lat, pfn = self._walk(va)
         pa = (pfn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
@@ -390,20 +401,33 @@ class OoOCore:
         return lat + 2, pfn & 0xFFFFF
 
     def _line_present_l1(self, cache: Cache, pa: int, is_write: bool,
-                         instruction: bool = False) -> int:
-        """Ensure the line holding *pa* is in *cache*; return latency."""
+                         instruction: bool = False):
+        """Ensure the line holding *pa* is in *cache*; (latency, way).
+
+        On a hit the way is the one the lookup found: nothing changes
+        between that lookup and the caller's data access, and a watched
+        read is idempotent, so looking it up again would be redundant.
+        """
+        way = cache.probe(pa, self.cycle)
+        if way is None:
+            return self._l1_fill(cache, pa, is_write, instruction)
+        if instruction:
+            self.stats["l1i_hit"] += 1
+        elif is_write:
+            self.stats["l1d_write_hit"] += 1
+        else:
+            self.stats["l1d_read_hit"] += 1
+        return self.config.l1_latency, way
+
+    def _l1_fill(self, cache: Cache, pa: int, is_write: bool,
+                 instruction: bool):
+        """L1 miss: fill the line from L2 or memory; (latency, way).
+
+        The way comes from a fresh tag lookup after the fill; it is None
+        only when a fault made the filled line unreachable.
+        """
         cfg = self.config
-        way = cache.lookup(pa, self.cycle)
         stats = self.stats
-        if way is not None:
-            cache.touch(cache.set_of(pa), way)
-            if instruction:
-                stats["l1i_hit"] += 1
-            elif is_write:
-                stats["l1d_write_hit"] += 1
-            else:
-                stats["l1d_read_hit"] += 1
-            return cfg.l1_latency
         if instruction:
             stats["l1i_miss"] += 1
         elif is_write:
@@ -417,15 +441,14 @@ class OoOCore:
             stats["l1i_replacements" if instruction
                   else "l1d_replacements"] += 1
             self._handle_eviction(evicted, from_l1=True)
-        return cfg.l1_latency + lat
+        return cfg.l1_latency + lat, cache.lookup(pa, self.cycle)
 
     def _l2_fetch_line(self, line_addr: int, is_write: bool):
         """Line bytes for an L1 fill, from L2 or memory; (latency, data)."""
         cfg = self.config
         stats = self.stats
-        way = self.l2.lookup(line_addr, self.cycle)
+        way = self.l2.probe(line_addr, self.cycle)
         if way is not None:
-            self.l2.touch(self.l2.set_of(line_addr), way)
             stats["l2_write_hit" if is_write else "l2_read_hit"] += 1
             data = self.l2.read_data(line_addr, self.l2.line_size, way,
                                      self.cycle)
@@ -479,8 +502,10 @@ class OoOCore:
                           value: int = 0):
         """Physically-addressed access through L1D/L2; (lat, value)."""
         pa &= self.mem.size - 1   # corrupted translations stay on-chip
+        l1d = self.l1d
+        cycle = self.cycle
         lat = 0
-        line_size = self.l1d.line_size
+        line_size = l1d.line_size
         total = b""
         remaining = size
         addr = pa
@@ -488,23 +513,23 @@ class OoOCore:
         off_in_value = 0
         while remaining > 0:
             in_line = min(remaining, line_size - (addr & (line_size - 1)))
-            lat += self._line_present_l1(self.l1d, addr, is_write)
-            way = self.l1d.lookup(addr, self.cycle)
-            self.check(way is not None, "L1D line vanished during access")
+            line_lat, way = self._line_present_l1(l1d, addr, is_write)
+            lat += line_lat
             if way is None:
+                self.check(False, "L1D line vanished during access")
                 raise SimCrashError("L1D line vanished during access")
             if is_write:
                 chunk = data_bytes[off_in_value:off_in_value + in_line]
-                self.l1d.write_data(addr, chunk, way)
+                l1d.write_data(addr, chunk, way)
                 if self.config.mirror_caches:
                     # Mirror semantics: update L2 copy and memory too.
-                    l2way = self.l2.lookup(addr, self.cycle)
+                    l2way = self.l2.lookup(addr, cycle)
                     if l2way is not None:
                         self.l2.write_data(addr, chunk, l2way,
                                            set_dirty=False)
                     self.mem.write_block(addr, chunk)
             else:
-                total += self.l1d.read_data(addr, in_line, way, self.cycle)
+                total += l1d.read_data(addr, in_line, way, cycle)
             addr += in_line
             off_in_value += in_line
             remaining -= in_line
@@ -558,33 +583,46 @@ class OoOCore:
         one line missed; the caller stalls fetch and retries (the fill
         already happened, so the retry hits).
         """
-        pa, lat = self._translate(pc, self.itlb, instruction=True)
-        pa &= self.mem.size - 1
-        line_size = self.l1i.line_size
-        window = b""
-        addr = pa
-        missed = lat > 0
-        remaining = min(self.max_ilen, self.mem.size - pa)
+        cycle = self.cycle
+        itlb = self.itlb
+        pa = itlb.translate(pc, cycle)
+        if pa is None:
+            pa, lat = self._translate_miss(pc, itlb, instruction=True)
+        else:
+            lat = 0
+        mem_size = self.mem.size
+        pa &= mem_size - 1
+        max_ilen = self.max_ilen
+        remaining = min(max_ilen, mem_size - pa)
         if remaining <= 0:
             return None, lat, "pf"
+        l1i = self.l1i
+        l1_latency = self.config.l1_latency
+        line_size = l1i.line_size
+        missed = lat > 0
+        window = b""
+        addr = pa
         while remaining > 0:
             in_line = min(remaining, line_size - (addr & (line_size - 1)))
-            line_lat = self._line_present_l1(self.l1i, addr, is_write=False,
-                                             instruction=True)
-            if line_lat > self.config.l1_latency:
-                missed = True
-            lat += line_lat
-            way = self.l1i.lookup(addr, self.cycle)
+            way = l1i.probe(addr, cycle)
             if way is None:
-                raise SimCrashError("L1I line vanished during fetch")
-            window += self.l1i.read_data(addr, in_line, way, self.cycle)
+                line_lat, way = self._l1_fill(l1i, addr, False, True)
+                if line_lat > l1_latency:
+                    missed = True
+                lat += line_lat
+                if way is None:
+                    raise SimCrashError("L1I line vanished during fetch")
+            else:
+                self.stats["l1i_hit"] += 1
+                lat += l1_latency
+            window += l1i.read_data(addr, in_line, way, cycle)
             addr += in_line
             remaining -= in_line
         self._fetch_missed = missed
-        if len(window) < self.max_ilen:
-            window += bytes(self.max_ilen - len(window))
+        if len(window) < max_ilen:
+            window += bytes(max_ilen - len(window))
         if self.l1i_pref is not None:
-            self._train_prefetcher(self.l1i_pref, self.l1i, pc & ~63, pa)
+            self._train_prefetcher(self.l1i_pref, l1i, pc & ~63, pa)
         key = (self.config.isa, pc, window)
         instr = _DECODE_CACHE.get(key)
         if instr is None:
@@ -593,17 +631,6 @@ class OoOCore:
             instr = self.isa.decode_window(window, pc)
             _DECODE_CACHE[key] = instr
         return instr, lat, None
-
-    def _rename_srcs(self, uop):
-        m = self.map
-        return [m[a] for a in uop.srcs_cached()]
-
-    def _alloc_phys(self, arch: int):
-        if not self.free_list:
-            return None
-        phys = self.free_list.pop()
-        self.prf_ready[phys] = False
-        return phys
 
     def _has_resources(self, instr) -> bool:
         """Check ROB/IQ/LSQ/free-list space without side effects."""
@@ -652,49 +679,67 @@ class OoOCore:
             self.rob.append(entry)
             self.fetch_halted = True
             return
-        snapshot = (self.map.copy(), self.ras.top, self.ras.depth)
+        # Rename (sources read the map before the destination updates
+        # it), physical register allocation, IQ insert and LSQ allocation
+        # in one pass over the µops.
+        m = self.map
+        snapshot = (m.copy(), self.ras.top, self.ras.depth)
         fallthrough = (pc + instr.length) & 0xFFFFFFFF
+        free_list = self.free_list
+        prf_ready = self.prf_ready
+        rob = self.rob
+        iq_insert = self.iq.insert
+        seq = self.seq
+        last = len(uops) - 1
         for i, uop in enumerate(uops):
-            entry = RobEntry(self.seq, uop, pc, instr)
-            self.seq += 1
+            entry = RobEntry(seq, uop, pc, instr)
+            seq += 1
+            self.seq = seq
             entry.fallthrough = fallthrough
-            entry.first = (i == 0)
-            entry.last = (i == len(uops) - 1)
-            if entry.first:
+            if i == 0:
+                entry.first = True
                 entry.snapshot = snapshot
-            src_tags = self._rename_srcs(uop)
+            src_tags = [m[a] for a in uop.srcs_cached()]
+            kind = uop.kind
             dst_arch = uop.dst_cached()
             if dst_arch is not None:
-                phys = self._alloc_phys(dst_arch)
+                phys = free_list.pop() if free_list else None
+                if phys is not None:
+                    prf_ready[phys] = False
                 entry.dst_arch = dst_arch
                 entry.dst_phys = phys
-                entry.old_phys = self.map[dst_arch]
-                self.map[dst_arch] = phys
-            if uop.kind == "sys":
+                entry.old_phys = m[dst_arch]
+                m[dst_arch] = phys
+            if kind == "sys":
                 # Syscalls serialize at commit; reserve the r0 result reg.
-                phys = self._alloc_phys(0)
+                phys = free_list.pop() if free_list else None
+                if phys is not None:
+                    prf_ready[phys] = False
                 entry.dst_arch = 0
                 entry.dst_phys = phys
-                entry.old_phys = self.map[0]
-                self.map[0] = phys
+                entry.old_phys = m[0]
+                m[0] = phys
                 entry.state = 2
-            elif uop.kind == "nop":
+            elif kind == "nop":
                 entry.state = 2
             else:
-                s1 = src_tags[0] if len(src_tags) > 0 else None
+                s1 = src_tags[0] if src_tags else None
                 s2 = src_tags[1] if len(src_tags) > 1 else None
-                r1 = self.prf_ready[s1] if s1 is not None else True
-                r2 = self.prf_ready[s2] if s2 is not None else True
-                idx = self.iq.insert(
-                    entry, uop.kind, uop.op, entry.dst_phys,
-                    s1, r1, s2, r2, uop.size, uop.imm)
-                self.check(idx is not None, "IQ overflow at dispatch")
+                idx = iq_insert(
+                    entry, kind, uop.op, entry.dst_phys,
+                    s1, prf_ready[s1] if s1 is not None else True,
+                    s2, prf_ready[s2] if s2 is not None else True,
+                    uop.size, uop.imm)
+                if idx is None:
+                    self.check(False, "IQ overflow at dispatch")
                 entry.iq_idx = idx
-                if uop.kind in ("load", "store"):
-                    entry.lsq = self._alloc_lsq(entry, uop.kind == "store")
-            if entry.last and instr.is_branch:
-                entry.pred = pred
-            self.rob.append(entry)
+                if kind == "load" or kind == "store":
+                    entry.lsq = self._alloc_lsq(entry, kind == "store")
+            if i == last:
+                entry.last = True
+                if instr.is_branch:
+                    entry.pred = pred
+            rob.append(entry)
 
     def _alloc_lsq(self, entry: RobEntry, is_store: bool) -> LsqEntry:
         if self.config.lsq_unified:
@@ -717,18 +762,19 @@ class OoOCore:
             self._lq_count -= 1
 
     def _fetch_cycle(self) -> None:
-        cfg = self.config
         if self.fetch_halted or self.cycle < self.fetch_resume:
             return
+        page_perms = self.mem.perms
+        width = self.config.fetch_width
         fetched = 0
-        while fetched < cfg.fetch_width:
+        while fetched < width:
             pc = self.fetch_pc
-            perms = self.mem.page_perms(pc)
-            if not perms & PERM_X:
+            if not page_perms.get(pc >> PAGE_SHIFT, 0) & PERM_X:
                 self._dispatch_fetch_fault(pc)
                 return
-            if self._fetch_buf is not None and self._fetch_buf[0] == pc:
-                instr = self._fetch_buf[1]
+            buf = self._fetch_buf
+            if buf is not None and buf[0] == pc:
+                instr = buf[1]
                 self._fetch_buf = None
             else:
                 try:
@@ -819,13 +865,11 @@ class OoOCore:
         arr = iq.array
         fault_mode = bool(arr.stuck) or arr.watch is not None
         epoch = arr.fault_epoch
-        valid = iq.valid
+        store_epoch = self._store_epoch
         slots = iq.slots
         candidates = []
-        for idx in range(iq.size):
-            if not valid[idx]:
-                continue
-            slot = slots[idx]
+        for idx, slot in enumerate(slots):
+            # Only a valid slot holds a ROB entry.
             entry = slot.rob
             if entry is None or entry.state != 0:
                 continue
@@ -833,8 +877,7 @@ class OoOCore:
                 slot = iq.view(idx, self.cycle)
             if not (slot.rdy1 and slot.rdy2):
                 continue
-            if slot.kind == "load" and \
-                    entry.retry_epoch == self._store_epoch:
+            if slot.kind == "load" and entry.retry_epoch == store_epoch:
                 continue  # still blocked by the same unresolved stores
             candidates.append((entry.seq, idx))
         candidates.sort()
@@ -843,32 +886,29 @@ class OoOCore:
                 break
             # A squash triggered by an earlier candidate (memory-order
             # violation replay) may have released this slot meanwhile.
-            if not valid[idx]:
-                continue
             slot = slots[idx]
             entry = slot.rob
             if entry is None or entry.state != 0:
                 continue
             kind = slot.kind
-            if kind in ("load", "store"):
+            if kind == "load" or kind == "store":
                 if mem_free == 0:
                     continue
-            elif slot.op in ("mul", "div", "mod"):
+                if self._execute(entry, slot):
+                    mem_free -= 1
+                    budget -= 1
+            elif slot.op in _COMPLEX_OPS:
                 if mul_free == 0:
                     continue
+                if self._execute(entry, slot):
+                    mul_free -= 1
+                    budget -= 1
             else:
                 if alu_free == 0:
                     continue
-            issued = self._execute(entry, slot)
-            if not issued:
-                continue
-            budget -= 1
-            if kind in ("load", "store"):
-                mem_free -= 1
-            elif slot.op in ("mul", "div", "mod"):
-                mul_free -= 1
-            else:
-                alu_free -= 1
+                if self._execute(entry, slot):
+                    alu_free -= 1
+                    budget -= 1
 
     def _read_phys(self, tag: int | None) -> int | None:
         if tag is None:
@@ -878,9 +918,6 @@ class OoOCore:
             raise SimCrashError(f"physical register index {tag} invalid")
         return self.prf.read(tag, self.cycle)
 
-    def _complete_at(self, cycle: int, entry: RobEntry) -> None:
-        self.events.setdefault(cycle, []).append(entry)
-
     def _execute(self, entry: RobEntry, slot) -> bool:
         """Begin execution of one issued µop; returns False to retry."""
         kind = slot.kind
@@ -889,8 +926,7 @@ class OoOCore:
             a = self._read_phys(slot.src1)
             b = slot.imm if slot.src2 is None else self._read_phys(slot.src2)
             op = slot.op
-            if op in ("eq", "ne", "lt", "le", "gt", "ge", "ult", "ule",
-                      "ugt", "uge", "none"):
+            if op in _NOT_ALU_OPS:
                 # Only reachable via a corrupted IQ entry.
                 self.check(False, f"invalid ALU op {op!r} in issue queue")
                 raise SimCrashError(f"cannot execute ALU op {op!r}")
@@ -905,14 +941,14 @@ class OoOCore:
                 value = 0
             entry.value = value
             entry.state = 1
-            self._complete_at(cycle + _ALU_LAT.get(op, 1), entry)
+            self.events.setdefault(cycle + _ALU_LAT.get(op, 1),
+                                   []).append(entry)
             return True
         if kind == "br":
             flags = self._read_phys(slot.src1)
             cond = slot.op
-            self.check(cond in ("eq", "ne", "lt", "le", "gt", "ge", "ult",
-                                "ule", "ugt", "uge"),
-                       f"invalid branch condition {cond!r}")
+            if cond not in BRANCH_CONDS:
+                self.check(False, f"invalid branch condition {cond!r}")
             try:
                 taken = cond_holds(cond, flags)
             except ValueError as exc:
@@ -920,20 +956,20 @@ class OoOCore:
             entry.taken = taken
             entry.target = u32(slot.imm) if taken else entry.fallthrough
             entry.state = 1
-            self._complete_at(cycle + 1, entry)
+            self.events.setdefault(cycle + 1, []).append(entry)
             return True
         if kind == "jmp":
             entry.taken = True
             entry.target = u32(slot.imm)
             entry.state = 1
-            self._complete_at(cycle + 1, entry)
+            self.events.setdefault(cycle + 1, []).append(entry)
             return True
         if kind == "ijmp":
             base = self._read_phys(slot.src1)
             entry.taken = True
             entry.target = u32((base or 0) + slot.imm)
             entry.state = 1
-            self._complete_at(cycle + 1, entry)
+            self.events.setdefault(cycle + 1, []).append(entry)
             return True
         if kind == "store":
             base = self._read_phys(slot.src1)
@@ -952,7 +988,7 @@ class OoOCore:
             entry.value = value or 0
             self._precheck_mem(entry, addr, lsq.size, is_write=True)
             entry.state = 1
-            self._complete_at(cycle + 1, entry)
+            self.events.setdefault(cycle + 1, []).append(entry)
             if self.config.aggressive_loads:
                 self._check_order_violation(lsq)
             return True
@@ -1020,7 +1056,7 @@ class OoOCore:
         if entry.fault is not None:
             entry.state = 1
             lsq.executed = True
-            self._complete_at(self.cycle + 1, entry)
+            self.events.setdefault(self.cycle + 1, []).append(entry)
             return True
         if fwd is not None:
             self.stats["store_forwards"] += 1
@@ -1040,7 +1076,7 @@ class OoOCore:
             entry.value = None
         else:
             entry.value = value
-        self._complete_at(self.cycle + latency, entry)
+        self.events.setdefault(self.cycle + latency, []).append(entry)
         return True
 
     def _check_order_violation(self, store: LsqEntry) -> None:
@@ -1067,28 +1103,30 @@ class OoOCore:
         entries = self.events.pop(self.cycle, None)
         if not entries:
             return
+        prf = self.prf
+        prf_ready = self.prf_ready
+        iq = self.iq
         for entry in entries:
             if entry.state != 1:
                 continue  # squashed after scheduling
             entry.state = 2
-            uop = entry.uop
-            if uop.kind == "load" and entry.value is None and \
+            value = entry.value
+            if value is None and entry.uop.kind == "load" and \
                     entry.lsq is not None and entry.lsq.slot >= 0 and \
                     entry.fault is None:
-                entry.value = self.lsq_data.read(entry.lsq.slot, self.cycle)
-            if entry.dst_phys is not None and entry.value is not None:
-                self.prf.write(entry.dst_phys, entry.value)
-                self.prf_ready[entry.dst_phys] = True
-                self.iq.wake(entry.dst_phys)
-            elif entry.dst_phys is not None:
-                # Faulting load: produce a zero so dependents can drain.
-                self.prf.write(entry.dst_phys, 0)
-                self.prf_ready[entry.dst_phys] = True
-                self.iq.wake(entry.dst_phys)
+                value = entry.value = self.lsq_data.read(entry.lsq.slot,
+                                                         self.cycle)
+            dst = entry.dst_phys
+            if dst is not None:
+                # A faulting load produces a zero so dependents can drain.
+                prf.write(dst, value if value is not None else 0)
+                prf_ready[dst] = True
+                iq.wake(dst)
             if entry.iq_idx is not None:
-                self.iq.release(entry.iq_idx)
+                iq.release(entry.iq_idx)
                 entry.iq_idx = None
-            if entry.last and entry.instr.is_branch and entry.pred is not None:
+            if entry.last and entry.pred is not None and \
+                    entry.instr.is_branch:
                 self._resolve_branch(entry)
 
     def _resolve_branch(self, entry: RobEntry) -> None:
@@ -1178,59 +1216,68 @@ class OoOCore:
         if self.cycle < self.commit_stall_until:
             return
         cfg = self.config
+        rob = self.rob
+        stats = self.stats
+        width = cfg.commit_width
         committed = 0
-        while self.rob and committed < cfg.commit_width:
-            entry = self.rob[0]
+        while rob and committed < width:
+            entry = rob[0]
             if entry.state != 2:
                 break
             if entry.fault is not None:
                 self._commit_fault(entry)
                 return
-            mnemonic = entry.instr.mnemonic
-            if entry.first and cfg.dense_asserts:
-                if mnemonic == "<ud>":
-                    raise SimAssertError(
-                        f"decoder: unimplemented opcode at {entry.pc:#x}")
-                if mnemonic.endswith("!"):
-                    raise SimAssertError(
-                        f"decoder: reserved encoding bits set at "
-                        f"{entry.pc:#x}")
-            if entry.first and mnemonic == "<ud>" and not cfg.dense_asserts:
-                entry.fault = "ud"
-                self._commit_fault(entry)
-                return
-            uop = entry.uop
-            if uop.kind == "sys":
+            if entry.first:
+                mnemonic = entry.instr.mnemonic
+                if cfg.dense_asserts:
+                    if mnemonic == "<ud>":
+                        raise SimAssertError(
+                            f"decoder: unimplemented opcode at "
+                            f"{entry.pc:#x}")
+                    if mnemonic.endswith("!"):
+                        raise SimAssertError(
+                            f"decoder: reserved encoding bits set at "
+                            f"{entry.pc:#x}")
+                elif mnemonic == "<ud>":
+                    entry.fault = "ud"
+                    self._commit_fault(entry)
+                    return
+            kind = entry.uop.kind
+            if kind == "sys":
                 if not self._commit_syscall(entry):
                     return
-            elif uop.kind == "store":
+            elif kind == "store":
                 self._commit_store(entry)
-            elif uop.kind == "load":
-                self.stats["committed_loads"] += 1
+            elif kind == "load":
+                stats["committed_loads"] += 1
             if entry.align_event:
                 self.kernel.deliver_fault("align", entry.pc)
             if entry.dst_phys is not None:
                 self.committed_map[entry.dst_arch] = entry.dst_phys
                 if entry.old_phys is not None:
                     self.free_list.append(entry.old_phys)
-            if entry.lsq is not None:
-                if entry.lsq in self.lsq:
-                    self.lsq.remove(entry.lsq)
-                    self._release_lsq(entry.lsq)
-                if entry.lsq.is_store:
+            lsq = entry.lsq
+            if lsq is not None:
+                if lsq in self.lsq:
+                    self.lsq.remove(lsq)
+                    self._release_lsq(lsq)
+                if lsq.is_store:
                     self._store_epoch += 1
-            if entry.last and entry.instr.is_cond:
-                self.predictor.update(entry.pc, bool(entry.taken))
-            if entry.last and entry.instr.is_branch and entry.taken:
-                if entry.instr.is_indirect and not entry.instr.is_ret:
-                    btb = self.btb_ind if self.btb_ind else self.btb
-                    btb.update(entry.pc, entry.target)
-                elif entry.instr.is_cond:
-                    self.btb.update(entry.pc, entry.target)
-            self.rob.pop(0)
-            self.stats["committed_uops"] += 1
-            if entry.last:
-                self.stats["committed_instrs"] += 1
+            last = entry.last
+            if last:
+                instr = entry.instr
+                if instr.is_cond:
+                    self.predictor.update(entry.pc, bool(entry.taken))
+                if instr.is_branch and entry.taken:
+                    if instr.is_indirect and not instr.is_ret:
+                        btb = self.btb_ind if self.btb_ind else self.btb
+                        btb.update(entry.pc, entry.target)
+                    elif instr.is_cond:
+                        self.btb.update(entry.pc, entry.target)
+            rob.pop(0)
+            stats["committed_uops"] += 1
+            if last:
+                stats["committed_instrs"] += 1
             self.last_commit_cycle = self.cycle
             committed += 1
 

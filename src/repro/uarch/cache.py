@@ -42,6 +42,11 @@ class Cache:
         self.tags = WordArray(name + "_tag", nlines, self.tag_bits + 2)
         self._valid_bit = 1 << self.tag_bits
         self._dirty_bit = 1 << (self.tag_bits + 1)
+        self._tag_mask = (1 << self.tag_bits) - 1
+        # A hit matches the valid bit and the tag; the dirty bit is ignored.
+        self._hit_mask = self._valid_bit | self._tag_mask
+        self._set_mask = self.sets - 1
+        self._off_mask = line_size - 1
         # MRU-first replacement order per set.
         self.lru = [list(range(assoc)) for _ in range(self.sets)]
 
@@ -69,19 +74,33 @@ class Cache:
     # -- lookup / access ------------------------------------------------------
 
     def lookup(self, addr: int, cycle: int = 0) -> int | None:
-        """Return the hitting way, or None.  Reads the tag array."""
-        set_idx = self.set_of(addr)
-        want = self.tag_of(addr)
+        """Return the hitting way, or None.  Reads the tag array.
+
+        A fault-free tag array (no stuck bits, no watch) is scanned
+        directly; otherwise every way goes through ``WordArray.read``.
+        """
+        assoc = self.assoc
+        base = ((addr >> self.off_bits) & self._set_mask) * assoc
+        want = ((addr >> self.tag_shift) & self._tag_mask) | self._valid_bit
+        field = self._hit_mask
         tags = self.tags
-        base = set_idx * self.assoc
-        fast = not tags.stuck and tags.watch is None
-        for way in range(self.assoc):
-            packed = tags.data[base + way] if fast else \
-                tags.read(base + way, cycle)
-            if packed & self._valid_bit and \
-                    (packed & ((1 << self.tag_bits) - 1)) == want:
+        if not tags.stuck and tags.watch is None:
+            data = tags.data
+            for way in range(assoc):
+                if data[base + way] & field == want:
+                    return way
+            return None
+        for way in range(assoc):
+            if tags.read(base + way, cycle) & field == want:
                 return way
         return None
+
+    def probe(self, addr: int, cycle: int = 0) -> int | None:
+        """:meth:`lookup`, and on a hit make the way most recently used."""
+        way = self.lookup(addr, cycle)
+        if way is not None:
+            self.touch((addr >> self.off_bits) & self._set_mask, way)
+        return way
 
     def touch(self, set_idx: int, way: int) -> None:
         order = self.lru[set_idx]
@@ -91,9 +110,8 @@ class Cache:
 
     def read_data(self, addr: int, size: int, way: int,
                   cycle: int = 0) -> bytes:
-        line = self.line_index(self.set_of(addr), way)
-        offset = addr & (self.line_size - 1)
-        return self.data.read_bytes(line, offset, size, cycle)
+        line = ((addr >> self.off_bits) & self._set_mask) * self.assoc + way
+        return self.data.read_bytes(line, addr & self._off_mask, size, cycle)
 
     def write_data(self, addr: int, data: bytes, way: int,
                    set_dirty: bool = True) -> None:

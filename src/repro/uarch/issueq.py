@@ -9,7 +9,10 @@ used.  (The ROB linkage is control logic, which performance simulators do
 not model as arrays; the paper scopes injection to storage arrays.)
 
 A decoded-entry cache keyed on the array's ``fault_epoch`` keeps the
-fault machinery off the no-fault hot path.
+fault machinery off the no-fault hot path: while the packed array has
+no stuck bits and no watch, a slot whose epoch is current is exactly
+the unpacked word, so :meth:`IssueQueue.insert` fills it straight from
+its arguments and :meth:`IssueQueue.wake` flips only its ready bits.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ _OFF_IMM = _OFF_SIZE + _SIZE_BITS
 ENTRY_BITS = _OFF_IMM + 32
 
 _TAG_MASK = (1 << _TAG_BITS) - 1
+_RDY1 = 1 << _OFF_RDY1
+_RDY2 = 1 << _OFF_RDY2
+_KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
+_OP_CODE = {op: i << _OFF_OP for i, op in enumerate(OPS)}
+_OP_CODE[None] = _OP_CODE["none"]
 
 
 class IQSlot:
@@ -71,30 +79,7 @@ class IssueQueue:
         # which deadlocks the pipeline — a realistic fault outcome).
         self.waiters: dict[int, list[int]] = {}
 
-    # -- pack/unpack -------------------------------------------------------
-
-    @staticmethod
-    def pack(kind, op, dst, src1, rdy1, src2, rdy2, size, imm) -> int:
-        word = KINDS.index(kind)
-        word |= OPS.index(op if op is not None else "none") << _OFF_OP
-        if dst is not None:
-            word |= (dst & _TAG_MASK) << _OFF_DST
-            word |= 1 << _OFF_HAS_DST
-        if src1 is not None:
-            word |= (src1 & _TAG_MASK) << _OFF_SRC1
-            word |= 1 << _OFF_HAS_SRC1
-            word |= (1 if rdy1 else 0) << _OFF_RDY1
-        else:
-            word |= 1 << _OFF_RDY1
-        if src2 is not None:
-            word |= (src2 & _TAG_MASK) << _OFF_SRC2
-            word |= 1 << _OFF_HAS_SRC2
-            word |= (1 if rdy2 else 0) << _OFF_RDY2
-        else:
-            word |= 1 << _OFF_RDY2
-        word |= (size & ((1 << _SIZE_BITS) - 1)) << _OFF_SIZE
-        word |= (imm & 0xFFFFFFFF) << _OFF_IMM
-        return word
+    # -- decode ---------------------------------------------------------------
 
     def _unpack_into(self, slot: IQSlot, word: int) -> None:
         slot.kind = KINDS[word & ((1 << _KIND_BITS) - 1)]
@@ -117,14 +102,58 @@ class IssueQueue:
 
     def insert(self, rob, kind, op, dst, src1, rdy1, src2, rdy2, size,
                imm) -> int | None:
-        """Allocate a slot; returns the index or None when full."""
+        """Allocate a slot; returns the index or None when full.
+
+        Packs the entry into the array and fills the decoded slot from
+        the same masked fields, so the slot equals what unpacking the
+        stored word would give.
+        """
         if not self.free:
             return None
         idx = self.free.pop()
-        word = self.pack(kind, op, dst, src1, rdy1, src2, rdy2, size, imm)
-        self.array.write(idx, word)
+        word = _KIND_CODE.get(kind)
+        if word is None:
+            word = KINDS.index(kind)      # raises ValueError
+        op_code = _OP_CODE.get(op)
+        if op_code is None:
+            op_code = OPS.index(op) << _OFF_OP
+        size = size & ((1 << _SIZE_BITS) - 1)
+        imm = imm & 0xFFFFFFFF
+        word |= op_code | size << _OFF_SIZE | imm << _OFF_IMM
         slot = self.slots[idx]
-        self._unpack_into(slot, word)
+        if dst is not None:
+            dst = dst & _TAG_MASK
+            word |= dst << _OFF_DST | 1 << _OFF_HAS_DST
+        slot.dst = dst
+        if src1 is not None:
+            tag = src1 & _TAG_MASK
+            word |= tag << _OFF_SRC1 | 1 << _OFF_HAS_SRC1
+            if rdy1:
+                word |= _RDY1
+            slot.src1 = tag
+            slot.rdy1 = bool(rdy1)
+        else:
+            word |= _RDY1
+            slot.src1 = None
+            slot.rdy1 = True
+        if src2 is not None:
+            tag = src2 & _TAG_MASK
+            word |= tag << _OFF_SRC2 | 1 << _OFF_HAS_SRC2
+            if rdy2:
+                word |= _RDY2
+            slot.src2 = tag
+            slot.rdy2 = bool(rdy2)
+        else:
+            word |= _RDY2
+            slot.src2 = None
+            slot.rdy2 = True
+        arr = self.array
+        arr.write(idx, word)
+        slot.kind = kind
+        slot.op = op if op is not None else "none"
+        slot.size = size
+        slot.imm = imm - 0x100000000 if imm & 0x80000000 else imm
+        slot.epoch = arr.fault_epoch
         slot.rob = rob
         self.valid[idx] = True
         self.count += 1
@@ -149,20 +178,36 @@ class IssueQueue:
         if not waiting:
             return
         arr = self.array
+        data = arr.data
+        epoch = arr.fault_epoch if not arr.stuck and arr.watch is None \
+            else None
+        valid = self.valid
         for idx in waiting:
-            if not self.valid[idx]:
+            if not valid[idx]:
                 continue  # slot released or squashed since it enqueued
+            slot = self.slots[idx]
+            if slot.epoch == epoch:
+                # Fault-free and current: the slot mirrors data[idx].
+                word = data[idx]
+                if slot.src1 == tag and not slot.rdy1:
+                    word |= _RDY1
+                    slot.rdy1 = True
+                if slot.src2 == tag and not slot.rdy2:
+                    word |= _RDY2
+                    slot.rdy2 = True
+                data[idx] = word
+                continue
             word = arr.peek(idx)
             changed = False
             if word & (1 << _OFF_HAS_SRC1) and \
-                    not word & (1 << _OFF_RDY1) and \
+                    not word & _RDY1 and \
                     ((word >> _OFF_SRC1) & _TAG_MASK) == tag:
-                word |= 1 << _OFF_RDY1
+                word |= _RDY1
                 changed = True
             if word & (1 << _OFF_HAS_SRC2) and \
-                    not word & (1 << _OFF_RDY2) and \
+                    not word & _RDY2 and \
                     ((word >> _OFF_SRC2) & _TAG_MASK) == tag:
-                word |= 1 << _OFF_RDY2
+                word |= _RDY2
                 changed = True
             if changed:
                 arr.write(idx, word)

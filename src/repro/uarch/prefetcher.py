@@ -34,44 +34,46 @@ class StridePrefetcher:
         self._tag_shift = self._last_shift + _ADDR_BITS
         self._valid_bit = 1 << (self._tag_shift + _TAG_BITS)
 
-    def _index_tag(self, key: int) -> tuple[int, int]:
-        return key % self.entries, (key // self.entries) % (1 << _TAG_BITS)
-
     def train(self, key: int, addr: int, cycle: int = 0) -> int | None:
-        """Observe an access; returns a prefetch address or None."""
-        idx, tag = self._index_tag(key)
-        packed = self.array.read(idx, cycle)
-        valid = bool(packed & self._valid_bit)
-        old_tag = (packed >> self._tag_shift) & ((1 << _TAG_BITS) - 1)
-        if not valid or old_tag != tag:
-            self._write(idx, tag, addr, 0, 0)
-            return None
-        last = (packed >> self._last_shift) & 0xFFFFFFFF
-        stride_raw = (packed >> self._stride_shift) & ((1 << _STRIDE_BITS) - 1)
-        stride = stride_raw - (1 << _STRIDE_BITS) \
-            if stride_raw & (1 << (_STRIDE_BITS - 1)) else stride_raw
-        conf = packed & 3
-        new_stride = addr - last
-        if not -(1 << (_STRIDE_BITS - 1)) <= new_stride \
-                < (1 << (_STRIDE_BITS - 1)):
-            self._write(idx, tag, addr, 0, 0)
-            return None
-        if new_stride == stride and stride != 0:
-            conf = min(conf + 1, 3)
-        else:
-            conf = 0
-        self._write(idx, tag, addr, new_stride, conf)
-        if conf >= 2:
-            return (addr + new_stride) & 0xFFFFFFFF
-        return None
+        """Observe an access; returns a prefetch address or None.
 
-    def _write(self, idx: int, tag: int, last: int, stride: int,
-               conf: int) -> None:
+        The entry is rewritten as ``[valid | tag | addr | stride | conf]``;
+        an unknown or mismatching entry, or a stride out of range,
+        restarts with stride and confidence 0.
+        """
+        entries = self.entries
+        idx = key % entries
+        tag = (key // entries) % (1 << _TAG_BITS)
+        arr = self.array
+        if arr.stuck or arr.watch is not None:
+            packed = arr.read(idx, cycle)
+        else:
+            packed = arr.data[idx]
+        new_stride = conf = 0
+        target = None
+        if packed & self._valid_bit and \
+                (packed >> self._tag_shift) & ((1 << _TAG_BITS) - 1) == tag:
+            last = (packed >> self._last_shift) & 0xFFFFFFFF
+            stride_raw = (packed >> self._stride_shift) & \
+                ((1 << _STRIDE_BITS) - 1)
+            stride = stride_raw - (1 << _STRIDE_BITS) \
+                if stride_raw & (1 << (_STRIDE_BITS - 1)) else stride_raw
+            delta = addr - last
+            if -(1 << (_STRIDE_BITS - 1)) <= delta < (1 << (_STRIDE_BITS - 1)):
+                new_stride = delta
+                if delta == stride and stride != 0:
+                    conf = min((packed & 3) + 1, 3)
+                if conf >= 2:
+                    target = (addr + delta) & 0xFFFFFFFF
         packed = self._valid_bit | (tag << self._tag_shift) | \
-            ((last & 0xFFFFFFFF) << self._last_shift) | \
-            ((stride & ((1 << _STRIDE_BITS) - 1)) << self._stride_shift) | \
-            (conf & 3)
-        self.array.write(idx, packed)
+            ((addr & 0xFFFFFFFF) << self._last_shift) | \
+            ((new_stride & ((1 << _STRIDE_BITS) - 1)) << self._stride_shift) \
+            | conf
+        # Re-storing the word already held changes nothing unless the
+        # entry is watched (a write counts as an overwrite there).
+        if arr.watch is not None or arr.data[idx] != packed:
+            arr.write(idx, packed)
+        return target
 
     def site(self) -> FaultSite:
         def live(entry: int) -> bool:

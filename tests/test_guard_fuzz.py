@@ -1,12 +1,15 @@
 """Fuzz-style survival test: random faults everywhere, zero escapes.
 
 The robustness contract in one test: flip random bits at random cycles
-across *every* injectable structure of both setup families, and assert
+across *every* injectable structure of all three setups, and assert
 that each run yields a classifiable record — no unhandled exception,
-no hang, no campaign abort.  Seeded, so a failure reproduces exactly.
+no hang, no campaign abort.  Seeded from a stable checksum of the setup
+name (not ``hash()``, which ``PYTHONHASHSEED`` salts), so a failure
+reproduces exactly.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -19,10 +22,10 @@ from repro.sim.config import setup_config
 
 from tests.helpers import tiny_program
 
-RUNS_PER_SETUP = 100      # ~200 total across the two setup families
+RUNS_PER_SETUP = 100      # 300 total across the three setups
 
 
-@pytest.mark.parametrize("setup", ["MaFIN-x86", "GeFIN-x86"])
+@pytest.mark.parametrize("setup", ["MaFIN-x86", "GeFIN-x86", "GeFIN-ARM"])
 def test_fuzz_every_structure_survives_and_classifies(setup):
     config = setup_config(setup)
     d = InjectorDispatcher(config, tiny_program(config.isa),
@@ -33,7 +36,7 @@ def test_fuzz_every_structure_survives_and_classifies(setup):
     infos = {name: StructureInfo.of_site(site)
              for name, site in sites.items()}
 
-    rng = random.Random(0xFA0175 + hash(setup) % 1000)
+    rng = random.Random(0xFA0175 + zlib.crc32(setup.encode()) % 1000)
     records = []
     hit = set()
     for i in range(RUNS_PER_SETUP):
