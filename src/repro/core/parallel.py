@@ -194,7 +194,7 @@ def run_campaign_parallel(setup: str, benchmark: str, structure: str,
     *timeout_s* is the serial path's per-injection wall-clock budget,
     enforced inside each worker.  *guard* is the serial path's
     hardening policy, installed in every worker's dispatcher — each
-    worker seals its own integrity digests over the shipped golden
+    worker seals its own integrity vault over the shipped golden
     payload, so contamination defense covers the parallel path too.
 
     *prune*/*trace_cache*/*audit* mirror the serial campaign's pruner

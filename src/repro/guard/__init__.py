@@ -23,11 +23,12 @@ dispatcher's injection loop:
     *inside* one ``sim.step()`` still classifies as Timeout.
 
 ``guard.integrity``
-    A stable digest of pristine/checkpoint state sealed once after the
-    golden run and re-checked after restores: on drift the machine is
-    condemned, rebuilt from a compressed vault of the golden payload,
-    the incident surfaces as a ``guard.contamination`` event/counter,
-    and the affected record is re-run from clean state.
+    A compressed vault of pristine/checkpoint state sealed once after
+    the golden run; restores are re-checked against stable digests of
+    the vaulted states, taken when the first check is due.  On drift
+    the machine is condemned and rebuilt from the vault, the incident
+    surfaces as a ``guard.contamination`` event/counter, and the
+    affected record is re-run from clean state.
 
 All knobs live on :class:`GuardPolicy`; ``off``/``basic``/``strict``
 presets surface on ``run_campaign``/``run_campaign_parallel``/

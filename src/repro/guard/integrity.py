@@ -11,8 +11,11 @@ that hole:
   ``OoOCore.snapshot()`` blob (cycle-safe over the ROB/LSQ entry graph,
   identity-free, insensitive to shared-immutable aliasing);
 * :meth:`IntegrityVerifier.seal` runs once after ``run_golden()`` /
-  ``adopt_golden()``: it digests the pristine state and every
-  checkpoint, and stows a compressed pickle **vault** of all of them;
+  ``adopt_golden()``: it stows a compressed pickle **vault** of the
+  pristine state and every checkpoint.  The expected digests are taken
+  from the vault, not from the live stores a faulty run may have
+  touched, the first time a verify is due, and then kept; a campaign
+  that never reaches the cadence digests nothing;
 * at a configurable cadence the dispatcher re-digests the restored
   machine and compares against the sealed digest of the restore source;
   on drift the machine is **condemned** — a fresh machine is built, the
@@ -122,21 +125,19 @@ def state_digest(state: dict) -> str:
 
 
 class IntegrityVerifier:
-    """Sealed digests + vault for one dispatcher's golden stores."""
+    """Sealed vault + digests for one dispatcher's golden stores."""
 
     def __init__(self, every: int):
         self.every = max(int(every), 0)
         self.checks = 0            # digests actually computed
         self.contaminations = 0    # condemn/rebuild incidents
-        self._digests: dict = {}   # source cycle -> sealed digest
+        self._digests: dict | None = None  # source cycle -> digest
         self._restores = 0
         self._vault: bytes | None = None
 
     def seal(self, pristine: dict, checkpoints: CheckpointStore) -> None:
-        """Digest the golden stores once and stow the rebuild vault."""
-        self._digests = {pristine["cycle"]: state_digest(pristine)}
-        for _, state in checkpoints.snapshots:
-            self._digests[state["cycle"]] = state_digest(state)
+        """Stow the rebuild vault; its digests are derived on demand."""
+        self._digests = None
         self._vault = zlib.compress(pickle.dumps({
             "pristine": pristine,
             "snapshots": checkpoints.snapshots,
@@ -155,9 +156,24 @@ class IntegrityVerifier:
         self._restores += 1
         return self._restores % self.every == 0
 
+    def _unvault(self) -> dict:
+        if self._vault is None:
+            raise CampaignError("integrity verifier was never sealed")
+        return pickle.loads(zlib.decompress(self._vault))
+
+    def _sealed_digests(self) -> dict:
+        """Source cycle -> digest of the vaulted state, computed once."""
+        if self._digests is None:
+            payload = self._unvault()
+            states = [payload["pristine"],
+                      *(state for _, state in payload["snapshots"])]
+            self._digests = {state["cycle"]: state_digest(state)
+                             for state in states}
+        return self._digests
+
     def verify(self, sim) -> bool:
         """Digest the restored machine against its sealed source."""
-        expected = self._digests.get(sim.cycle)
+        expected = self._sealed_digests().get(sim.cycle)
         if expected is None:       # restore source unknown: nothing sealed
             return True
         self.checks += 1
@@ -165,10 +181,8 @@ class IntegrityVerifier:
 
     def rebuild(self):
         """Clean (pristine, CheckpointStore) pair from the vault."""
-        if self._vault is None:
-            raise CampaignError("integrity verifier was never sealed")
+        payload = self._unvault()
         self.contaminations += 1
-        payload = pickle.loads(zlib.decompress(self._vault))
         store = CheckpointStore.from_snapshots(
             payload["snapshots"], interval=payload["interval"],
             max_snaps=payload["max_snaps"])

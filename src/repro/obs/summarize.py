@@ -262,7 +262,11 @@ class SummaryAccumulator:
                 "inject_s": inject["wall_s"],
                 "classify_s": self.classify["wall_s"],
             },
-            "golden": dict(golden),
+            # A study pays one golden run per pair unless a unit's
+            # lease beat its pair's blob; runs > pairs shows the excess.
+            "golden": {**golden, "pairs": len(
+                {(c["setup"], c["benchmark"]) for c in self.campaigns
+                 if c["setup"] is not None})},
             "masks_generated": maskgen["masks"],
             "injections": inject["runs"],
             "injections_per_sec": (inject["runs"] / inject["wall_s"]
@@ -363,7 +367,8 @@ def render_report(summary: dict) -> str:
         f"snapshots  take {cp['snapshot_s']:.3f}s, "
         f"restore {cp['restore_s']:.3f}s, {cp['bytes']:,} bytes stored")
     g = summary["golden"]
-    lines.append(f"golden     {g['runs']} run(s), {g['cycles']} cycles, "
+    lines.append(f"golden     {g['runs']} run(s) for {g['pairs']} "
+                 f"(setup, benchmark) pair(s), {g['cycles']} cycles, "
                  f"{g['checkpoints']} checkpoints")
     pr = summary.get("prune", {})
     if pr.get("plans"):

@@ -117,9 +117,14 @@ class StructureTrace:
 
 
 class AccessTrace:
-    """The golden run's access trace for one (setup, benchmark) pair."""
+    """The golden run's access trace for one (setup, benchmark) pair.
 
-    __slots__ = ("setup", "benchmark", "cycles", "structures")
+    Fields are reassigned, never mutated in place (callers set
+    ``benchmark`` after recording), and every assignment drops the
+    memoised :attr:`digest`.
+    """
+
+    __slots__ = ("setup", "benchmark", "cycles", "structures", "_digest")
 
     def __init__(self, setup: str, benchmark: str, cycles: int,
                  structures: dict):
@@ -127,6 +132,10 @@ class AccessTrace:
         self.benchmark = benchmark
         self.cycles = cycles
         self.structures: dict[str, StructureTrace] = structures
+
+    def __setattr__(self, name, value) -> None:
+        object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -156,7 +165,11 @@ class AccessTrace:
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        """sha256 of :meth:`to_bytes`, serialised once per field state."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest",
+                               hashlib.sha256(self.to_bytes()).hexdigest())
+        return self._digest
 
     @property
     def n_events(self) -> int:

@@ -278,7 +278,16 @@ class StudySpec:
 
 
 class CampaignPlan:
-    """A spec expanded into work units, optionally restricted to a shard."""
+    """A spec expanded into work units, optionally restricted to a shard.
+
+    Units are ordered with structure and fault type outermost and the
+    (setup, benchmark) pair innermost, so the first |setups| ×
+    |benchmarks| units are distinct pairs.  The scheduler and the
+    service lease in plan order and cache one golden blob per pair: a
+    pair's second unit is leased only after every pair has started, by
+    which time its first unit has usually cached the blob to adopt.
+    Ids, seeds and shards depend on the unit alone, never on its rank.
+    """
 
     def __init__(self, spec: StudySpec, units=None, shard=None):
         spec.validate()
@@ -286,10 +295,10 @@ class CampaignPlan:
         self.shard_id = shard          # (index, count) or None
         if units is None:
             units = [WorkUnit(s, b, st, ft)
-                     for s in spec.setups
-                     for b in spec.benchmarks
                      for st in spec.structures
-                     for ft in spec.fault_types]
+                     for ft in spec.fault_types
+                     for s in spec.setups
+                     for b in spec.benchmarks]
         self.units: list[WorkUnit] = list(units)
 
     @classmethod

@@ -6,8 +6,9 @@ masks, skip every ``set_id`` its logs repository already holds (the
 mid-unit resume path), inject the rest, and classify.  It reuses
 ``repro.core.parallel``'s compressed golden/checkpoint shipping — the
 scheduler caches one :func:`build_golden_payload` blob per
-(setup, benchmark) and ships it to every later unit of that pair, so
-only the first unit of a pair pays for the golden execution.
+(setup, benchmark) and ships it to every unit of that pair leased after
+the blob arrived; the plan's pair-interleaved order makes that every
+unit but the first in the usual case.
 
 :func:`unit_entry` is the ``multiprocessing.Process`` target: it sends
 the result dict (records summary, trace events, metrics, optionally
@@ -146,7 +147,7 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
                 f"different masks — logs do not belong to this unit's "
                 f"mask stream")
 
-    plan = None
+    plan = stats = None
     if prune != PRUNE_OFF:
         plan = build_prune_plan(sets, trace, prune)
         stats = plan.stats()
@@ -212,7 +213,7 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
         "resumed": len(done_ids),
         "early_stops": early_stops,
         "pruned": pruned_n,
-        "prune": plan.stats() if plan is not None else None,
+        "prune": stats,
         "wall_s": wall_s,
         "events": list(sink.rows),
         "metrics": metrics.to_dict(),

@@ -1,14 +1,17 @@
 """repro.guard integrity: digests, restore purity, contamination drill."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
 from repro.core.campaign import InjectionCampaign
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
+from repro.core.parser import classify_all
 from repro.errors import CampaignError
-from repro.guard import IntegrityVerifier, state_digest
+from repro.guard import BASIC, IntegrityVerifier, integrity, state_digest
 from repro.guard.integrity import chaos_leak_due
 from repro.obs.trace import RingBufferSink, Tracer
 from repro.sim.config import setup_config
@@ -70,6 +73,19 @@ def test_digest_detects_register_drift():
     before = state_digest(state)
     state["cycle"] += 1
     assert state_digest(state) != before
+
+
+@pytest.mark.parametrize("setup", SETUPS + ("GeFIN-ARM",))
+def test_digest_survives_pickle_round_trip(setup):
+    """The verifier derives its expected digests from the pickled vault,
+    so a round-tripped state must digest like the live one."""
+    d = _dispatcher(setup, guard="off")
+    checkpoint = d.checkpoints.snapshots[-1][1]
+    assert checkpoint["cycle"] > 0
+    for state in (d._pristine, checkpoint):
+        clone = pickle.loads(pickle.dumps(
+            state, protocol=pickle.HIGHEST_PROTOCOL))
+        assert state_digest(clone) == state_digest(state)
 
 
 # -- satellite: restore purity after a contained sim-crash -----------------
@@ -156,6 +172,42 @@ def test_contamination_drill_classifications_match_clean_run(
     assert json.dumps(clean, sort_keys=True) == \
         json.dumps(drilled, sort_keys=True)
     assert "guard.contamination" in sink.names()
+
+
+def test_seal_digests_nothing_below_the_cadence(monkeypatch):
+    """A basic-guard campaign with fewer restores than integrity_every
+    (a short study unit) never pays for a digest."""
+    monkeypatch.delenv("REPRO_GUARD_CHAOS", raising=False)
+    calls = []
+    real = integrity.state_digest
+    monkeypatch.setattr(integrity, "state_digest",
+                        lambda state: calls.append(1) or real(state))
+    assert BASIC.integrity_every > 3
+    d = _dispatcher("MaFIN-x86", guard="basic")
+    assert d._integrity.sealed
+    for fs in _sets(d, 3):
+        d.inject(fs, early_stop=False)
+    assert calls == [] and d._integrity.checks == 0
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_leak_before_first_due_verify_is_condemned(setup, monkeypatch):
+    """The expected digests come from the vault, never from the live
+    stores: a leak that lands before the first due verify is still
+    caught there, and the campaign classifies like a clean one."""
+    monkeypatch.delenv("REPRO_GUARD_CHAOS", raising=False)
+    d_clean = _dispatcher(setup, guard="off")
+    sets = _sets(d_clean, 6)
+    clean = [d_clean.inject(fs, early_stop=False) for fs in sets]
+
+    monkeypatch.setenv("REPRO_GUARD_CHAOS", "leak:2")
+    guard = dataclasses.replace(BASIC, integrity_every=4)
+    d = _dispatcher(setup, guard=guard)
+    drilled = [d.inject(fs, early_stop=False) for fs in sets]
+
+    assert d._integrity.contaminations == 1
+    assert classify_all(drilled, d.golden) == \
+        classify_all(clean, d_clean.golden)
 
 
 def test_second_drift_after_rebuild_is_fatal(monkeypatch):

@@ -187,8 +187,26 @@ class TestSummarize:
         report = render_report(summarize_events(load_events(path)))
         for needle in ("campaign telemetry report", "phase timing",
                        "golden", "inject", "injections",
-                       "checkpointing", "early stops"):
+                       "checkpointing", "early stops",
+                       "golden     1 run(s) for 1 (setup, benchmark) "
+                       "pair(s)"):
             assert needle in report
+
+        # A study's stream: three units over two pairs, and one unit
+        # leased before its pair's blob arrived ran a duplicate golden.
+        def unit(setup, structure):
+            return [{"name": "golden_end", "ts": 1.0, "cycles": 100,
+                     "wall_s": 0.5, "checkpoints": 2},
+                    {"name": "campaign_start", "ts": 1.1, "setup": setup,
+                     "benchmark": "sha", "structure": structure,
+                     "masks": 4}]
+        events = (unit("MaFIN-x86", "l1d") + unit("GeFIN-ARM", "l1d")
+                  + unit("MaFIN-x86", "l2"))
+        summary = summarize_events(events)
+        assert summary["golden"]["runs"] == 3
+        assert summary["golden"]["pairs"] == 2
+        assert "golden     3 run(s) for 2 (setup, benchmark) pair(s)" \
+            in render_report(summary)
 
     def test_load_events_rejects_mid_file_garbage(self, tmp_path):
         # Corruption with complete lines after it is real corruption...

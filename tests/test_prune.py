@@ -9,6 +9,8 @@ audit gate on both setup families, parallel/serial record equality,
 the scheduler integration, and the mask-generator dedup regression.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.campaign import InjectionCampaign, run_campaign
@@ -136,6 +138,24 @@ class TestBuildPrunePlan:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="prune policy"):
             build_prune_plan([], _trace_for(word_trace({})), "bogus")
+
+    def test_stats_serialise_the_trace_once(self, monkeypatch):
+        trace = _trace_for(word_trace({0: [[10, "r"]]}))
+        plan = build_prune_plan([_single(0, 2)], trace, PRUNE_ANALYZE)
+        real = AccessTrace.to_bytes
+        calls = []
+        monkeypatch.setattr(AccessTrace, "to_bytes",
+                            lambda self: calls.append(1) or real(self))
+        first = plan.stats()
+        assert plan.stats() == first and len(calls) == 1
+        assert first["trace_digest"] == \
+            hashlib.sha256(real(trace)).hexdigest()
+        # Naming the benchmark after recording (as run_unit and the
+        # campaign do) must not leave a stale digest behind.
+        trace.benchmark = "sha"
+        again = plan.stats()["trace_digest"]
+        assert again == hashlib.sha256(real(trace)).hexdigest()
+        assert again != first["trace_digest"] and len(calls) == 2
 
 
 # -- end-to-end soundness on both setup families ---------------------------

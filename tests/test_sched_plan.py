@@ -100,3 +100,61 @@ class TestCampaignPlan:
         sub = plan.shard(0, 2)
         assert sorted(sub.grid_ids()) == sorted(plan.unit_ids())
         assert sub.shard_id == (0, 2)
+
+
+def setup_major_ids(spec):
+    """Unit ids in setup-major order: setup, benchmark, structure, fault."""
+    return [WorkUnit(s, b, st, ft).unit_id
+            for s in spec.setups for b in spec.benchmarks
+            for st in spec.structures for ft in spec.fault_types]
+
+
+def order_keys(spec, units):
+    """(cell rank, pair rank) of each unit; sorted iff pairs rotate
+    innermost under structure and fault type."""
+    pairs = [(s, b) for s in spec.setups for b in spec.benchmarks]
+    cells = [(st, ft) for st in spec.structures for ft in spec.fault_types]
+    return [(cells.index((u.structure, u.fault_type)),
+             pairs.index((u.setup, u.benchmark))) for u in units]
+
+
+class TestUnitOrder:
+    """Units rotate through (setup, benchmark) pairs, so the first lease
+    of every pair comes before any pair's second one."""
+
+    SPEC = dict(setups=("MaFIN-x86", "GeFIN-x86", "GeFIN-ARM"),
+                fault_types=("transient", "permanent"))
+
+    def test_first_units_are_distinct_pairs(self):
+        spec = small_spec(**self.SPEC)
+        plan = CampaignPlan.from_spec(spec)
+        n_pairs = len(spec.setups) * len(spec.benchmarks)
+        head = [(u.setup, u.benchmark) for u in plan.units[:n_pairs]]
+        assert len(set(head)) == n_pairs
+        keys = order_keys(spec, plan.units)
+        assert keys == sorted(keys)
+
+    def test_ids_seeds_and_shards_match_setup_major(self):
+        spec = small_spec(**self.SPEC)
+        plan = CampaignPlan.from_spec(spec)
+        old = setup_major_ids(spec)
+        assert sorted(plan.unit_ids()) == sorted(old)
+        assert len(set(plan.unit_ids())) == len(old)
+        for study_seed in (1, 7, 12345):
+            assert {u.unit_id: u.seed(study_seed) for u in plan} == \
+                {uid: WorkUnit.from_id(uid).seed(study_seed) for uid in old}
+        for n in (2, 3):
+            for i in range(n):
+                assert set(plan.shard(i, n).unit_ids()) == \
+                    {uid for uid in old if shard_of(uid, n) == i}
+
+    def test_shard_keeps_the_rotation(self):
+        spec = small_spec(**self.SPEC)
+        plan = CampaignPlan.from_spec(spec)
+        for n in (2, 3):
+            for i in range(n):
+                sub = plan.shard(i, n)
+                assert sub.unit_ids() == [uid for uid in plan.unit_ids()
+                                          if shard_of(uid, n) == i]
+                keys = order_keys(spec, sub.units)
+                assert keys == sorted(keys)

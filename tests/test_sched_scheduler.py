@@ -18,6 +18,7 @@ from repro.core.campaign import run_campaign
 from repro.sched import (DONE, QUARANTINED, CampaignPlan, Scheduler,
                          StudySpec, load_journal, merge_studies, run_study,
                          run_unit, study_status)
+from repro.svc import fsck_study
 
 TWO_SETUPS = ("MaFIN-x86", "GeFIN-x86")
 
@@ -115,6 +116,28 @@ class TestScheduler:
         for uid in done_before:
             assert state.attempts[uid] == 1
 
+    def test_resume_accepts_setup_major_header(self, tmp_path):
+        """Study directories written before units were interleaved by
+        pair list them setup-major in the journal header; resume and
+        fsck go by unit id, so the order does not matter to them."""
+        sp = spec(structures=("int_rf", "l1d"), injections=2)
+        old_units = sorted(CampaignPlan.from_spec(sp),
+                           key=lambda u: (sp.setups.index(u.setup),
+                                          sp.structures.index(u.structure)))
+        study_dir = tmp_path / "study"
+        sched = Scheduler(CampaignPlan(sp, units=old_units), study_dir,
+                          workers=1)
+        sched.progress = lambda uid, state, done, total: (
+            sched.cancel() if state == DONE else None)
+        assert sched.run().interrupted
+        header = load_journal(study_dir / "journal.jsonl").unit_ids
+        assert header == [u.unit_id for u in old_units]
+        assert header != CampaignPlan.from_spec(sp).unit_ids()
+
+        resumed = Scheduler.resume(study_dir, workers=2).run(resume=True)
+        assert resumed.ok and len(resumed.cells) == 4
+        assert fsck_study(study_dir) == []
+
     def test_fresh_run_refuses_existing_journal(self, tmp_path):
         sp = spec(setups=(TWO_SETUPS[0],))
         run_study(sp, tmp_path / "study", workers=1)
@@ -183,6 +206,31 @@ class TestFailurePolicy:
         result = sched.run()
         assert result.ok and result.cells[uid].attempts == 2
         assert sched.metrics.counter_value("sched.timeouts") == 1
+
+
+
+def first_leased_pairs(journal_path, n):
+    """(setup, benchmark) of the first *n* ``leased`` journal rows."""
+    rows = [json.loads(line) for line in
+            journal_path.read_text().splitlines()]
+    units = [row["unit"] for row in rows if row.get("state") == "leased"]
+    return [tuple(uid.split("/")[:2]) for uid in units[:n]]
+
+
+class TestLeaseOrder:
+    def test_first_leases_are_distinct_pairs(self, tmp_path, monkeypatch):
+        # Chaos-fail every unit on its first attempt with no retries:
+        # nothing is simulated and the leases follow the plan's order.
+        sp = spec(setups=("MaFIN-x86", "GeFIN-x86", "GeFIN-ARM"),
+                  structures=("int_rf", "l1d"))
+        plan = CampaignPlan.from_spec(sp)
+        monkeypatch.setenv("REPRO_SCHED_CHAOS",
+                           ";".join(f"{u.unit_id}=fail:99" for u in plan))
+        result = Scheduler(plan, tmp_path / "study", workers=2,
+                           max_retries=0, fsync=False).run()
+        assert len(result.quarantined()) == 6
+        pairs = first_leased_pairs(tmp_path / "study" / "journal.jsonl", 3)
+        assert len(set(pairs)) == 3
 
 
 class TestSharding:

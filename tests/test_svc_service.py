@@ -300,6 +300,28 @@ class TestFairDispatch:
                 tally = svc.study_status(sid)["tally"]
                 assert tally["quarantined"] == 4   # chaos, as planned
 
+    def test_first_leases_are_distinct_pairs(self, tmp_path, monkeypatch):
+        # One tenant, 3 pairs x 2 structures, 2 local slots: the fair
+        # queue hands out units in plan order, one unit of each pair
+        # before any pair's second unit.
+        sp = spec(setups=("MaFIN-x86", "GeFIN-x86", "GeFIN-ARM"),
+                  structures=("int_rf", "l1d"))
+        monkeypatch.setenv("REPRO_SCHED_CHAOS",
+                           ";".join(f"{u.unit_id}=fail:99"
+                                    for u in CampaignPlan.from_spec(sp)))
+        with CampaignService(tmp_path, workers=2, fsync=False,
+                             max_retries=0) as svc:
+            sid = svc.submit(sp, tenant="alice")
+            svc.run_until_idle(timeout_s=120)
+            assert svc.study_status(sid)["tally"]["quarantined"] == 6
+            rows = [json.loads(line) for line in
+                    (svc.study_dir(sid) / "journal.jsonl")
+                    .read_text().splitlines()]
+        leased = [row["unit"] for row in rows
+                  if row.get("state") == "leased"]
+        pairs = {tuple(uid.split("/")[:2]) for uid in leased[:3]}
+        assert len(pairs) == 3
+
 
 def _get(url, timeout=30.0):
     with urllib.request.urlopen(url, timeout=timeout) as resp:
