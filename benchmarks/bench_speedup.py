@@ -8,7 +8,7 @@ replays the same fault sets with the optimizations on and off and
 measures both the simulated-cycle savings and the wall-clock effect.
 
 ``test_prune_speedup`` benches the static counterpart (``repro.prune``):
-the same campaign with pruning off / analyze / collapse, asserting the
+the same campaign with pruning off / analyze, asserting the
 classification is invariant and the campaign-phase wall clock drops by
 at least the paper's 30 % floor somewhere in the grid.  Results land in
 ``results/bench/BENCH_prune.json``.
@@ -22,6 +22,7 @@ from repro.core.campaign import InjectionCampaign
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import FaultSet
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
+from repro.prune import PRUNE_POLICIES
 from repro.sim.config import setup_config
 from repro.bench import suite
 
@@ -80,11 +81,10 @@ def test_early_stop_speedup(benchmark, results_dir):
 
 PRUNE_CELLS = (("MaFIN-x86", "sha", "l1d"),
                ("MaFIN-x86", "qsort", "int_rf"))
-PRUNE_POLICIES = ("off", "analyze", "collapse")
 
 
 def _measure_prune(setup: str, bench_name: str, structure: str, n: int):
-    """One cell, all policies: campaign-phase wall time + classes."""
+    """One cell, all policies: campaign-phase wall time + prune stats."""
     config = setup_config(setup)
     rows = {}
     for policy in PRUNE_POLICIES:
@@ -100,10 +100,9 @@ def _measure_prune(setup: str, bench_name: str, structure: str, n: int):
         row = {"run_wall_s": wall, "counts": result.classify()}
         if result.prune is not None:
             row["prune"] = {k: result.prune[k] for k in
-                            ("masked", "collapsed", "classes",
-                             "simulated", "rules", "by_structure")}
-            row["prune_rate"] = ((result.prune["masked"]
-                                  + result.prune["collapsed"]) / n)
+                            ("masked", "simulated", "rules",
+                             "by_structure")}
+            row["prune_rate"] = result.prune["masked"] / n
         rows[policy] = row
     return rows
 

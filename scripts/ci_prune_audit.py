@@ -1,6 +1,6 @@
 """CI gate for the pruner's soundness contract.
 
-Runs a small campaign through the CLI with ``--prune collapse`` and an
+Runs a small campaign through the CLI with ``--prune analyze`` and an
 audit sample, and fails unless (i) the audit re-simulated pruned masks
 with zero classification divergences and an intact pristine digest,
 (ii) the campaign actually pruned something, and (iii) the pruned
@@ -36,7 +36,7 @@ def main() -> None:
     cache = work / "traces"
 
     baseline = run_campaign_cli(["--prune", "off"])
-    pruned = run_campaign_cli(["--prune", "collapse", "--audit", "8",
+    pruned = run_campaign_cli(["--prune", "analyze", "--audit", "8",
                                "--trace-cache", str(cache)])
 
     assert pruned["counts"] == baseline["counts"], \
@@ -44,8 +44,8 @@ def main() -> None:
         f"vs\n{baseline['counts']}"
 
     stats = pruned["prune"]
-    assert stats is not None, "--prune collapse produced no prune stats"
-    n_pruned = stats["masked"] + stats["collapsed"]
+    assert stats is not None, "--prune analyze produced no prune stats"
+    n_pruned = stats["masked"]
     rate = n_pruned / stats["masks"]
     assert n_pruned > 0, f"campaign pruned nothing: {stats}"
     assert stats["simulated"] + n_pruned == stats["masks"], stats
@@ -58,7 +58,7 @@ def main() -> None:
         "pristine state digest changed across the audit"
 
     # Second run must hit the trace cache and agree bit-for-bit.
-    again = run_campaign_cli(["--prune", "collapse", "--audit", "8",
+    again = run_campaign_cli(["--prune", "analyze", "--audit", "8",
                               "--trace-cache", str(cache)])
     assert again["prune"]["trace_source"] == "cache", \
         f"expected a trace cache hit, got {again['prune']['trace_source']}"

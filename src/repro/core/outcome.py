@@ -70,7 +70,7 @@ class InjectionRecord:
     elapsed_s: float = 0.0           # wall time, Timeout-reason runs only
     pruned: str | None = None        # repro.prune provenance: "dead-entry"|
                                      # "write-before-read"|"never-read"|
-                                     # "equivalent"|None (really simulated)
+                                     # None (really simulated)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -27,13 +27,9 @@ METRIC_NAMES = {
                     "(invalid-entry, overwritten)",
     "prune.masked": "counter — masks pre-classified Masked by the "
                     "golden-trace analyzer (no simulation)",
-    "prune.collapsed": "counter — masks resolved by fault-equivalence "
-                       "fan-out from a class representative",
-    "prune.classes": "counter — equivalence classes that fanned out "
-                     "(one representative simulated each)",
-    "prune.structure.": "counter family — pruned+collapsed masks by "
-                        "target structure (rate denominator is the "
-                        "campaign's mask count)",
+    "prune.structure.": "counter family — pruned masks by target "
+                        "structure (rate denominator is the campaign's "
+                        "mask count)",
     "guard.integrity_checks": "counter — restore digests verified by "
                               "the integrity guard",
     "guard.contamination": "counter — contaminated-state incidents "

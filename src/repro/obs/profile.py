@@ -112,7 +112,7 @@ def record_injection(metrics: MetricsRegistry, record,
 
 
 def record_pruned(metrics: MetricsRegistry, record) -> None:
-    """Fold one analysis-pruned (or collapsed) record into the registry.
+    """Fold one analysis-pruned record into the registry.
 
     Pruned records count as classified injections with an outcome, but
     carry no checkpoint/cycle/wall-time telemetry — nothing was
@@ -120,18 +120,9 @@ def record_pruned(metrics: MetricsRegistry, record) -> None:
     """
     metrics.counter("injections_total").inc()
     metrics.counter(f"outcomes.{record.reason}").inc()
-    if record.pruned == "equivalent":
-        metrics.counter("prune.collapsed").inc()
-    else:
-        metrics.counter("prune.masked").inc()
+    metrics.counter("prune.masked").inc()
     structure = record.masks[0]["structure"] if record.masks else "?"
     metrics.counter(f"prune.structure.{structure}").inc()
-
-
-def record_prune_plan(metrics: MetricsRegistry, stats: dict) -> None:
-    """Record a prune plan's class count (per-mask counts arrive via
-    :func:`record_pruned` as the campaign walks the mask stream)."""
-    metrics.counter("prune.classes").inc(stats.get("classes", 0))
 
 
 def record_classify(metrics: MetricsRegistry, wall_s: float) -> None:
@@ -165,8 +156,8 @@ class CampaignTelemetry:
     cold_starts: int = 0
     outcomes: dict = field(default_factory=dict)
     early_stops: dict = field(default_factory=dict)
-    #: ``repro.prune`` counters, suffix-keyed ("masked", "collapsed",
-    #: "classes", "structure.<name>"); empty when pruning was off.
+    #: ``repro.prune`` counters, suffix-keyed ("masked",
+    #: "structure.<name>"); empty when pruning was off.
     prunes: dict = field(default_factory=dict)
 
     # -- derived ----------------------------------------------------------
@@ -189,8 +180,7 @@ class CampaignTelemetry:
     @property
     def prune_rate(self) -> float:
         """Fraction of injections resolved without simulation."""
-        pruned = (self.prunes.get("masked", 0)
-                  + self.prunes.get("collapsed", 0))
+        pruned = self.prunes.get("masked", 0)
         return pruned / self.injections if self.injections else 0.0
 
     # -- construction ------------------------------------------------------
@@ -277,9 +267,7 @@ class CampaignTelemetry:
                if self.early_stops else ""),
             *([
                 f"  prune rate          {100 * self.prune_rate:.1f}% "
-                f"({self.prunes.get('masked', 0)} masked by analysis, "
-                f"{self.prunes.get('collapsed', 0)} collapsed into "
-                f"{self.prunes.get('classes', 0)} classes)"
+                f"({self.prunes.get('masked', 0)} masked by analysis)"
             ] if self.prunes else []),
             "  outcomes            "
             + (" ".join(f"{k}={v}" for k, v in sorted(self.outcomes.items()))

@@ -266,8 +266,6 @@ def _prune_section(snapshot: dict) -> list[str]:
     rate = prune.get("rate", 0.0)
     out.append('<div class="kv">'
                f"<span>masked by analysis <b>{prune['masked']}</b></span>"
-               f"<span>collapsed <b>{prune['collapsed']}</b> "
-               f"({prune['classes']} classes)</span>"
                f"<span>simulated <b>{prune['simulated']}</b> of "
                f"{prune['masks']} masks</span>"
                f"<span>prune rate <b>{100 * rate:.1f}%</b></span>"

@@ -95,8 +95,8 @@ class SummaryAccumulator:
                       "reopened": 0, "blobs_evicted": 0}
         self.guard = {"contaminations": 0, "invariant_violations": 0,
                       "invariants": {}}
-        self.prune = {"plans": 0, "masks": 0, "masked": 0, "collapsed": 0,
-                      "classes": 0, "simulated": 0, "rules": {},
+        self.prune = {"plans": 0, "masks": 0, "masked": 0,
+                      "simulated": 0, "rules": {},
                       "traces_recorded": 0, "trace_cache_hits": 0,
                       "audit_checked": 0, "audit_divergences": 0}
         self.inject_hist = Histogram()      # per-injection wall time
@@ -154,8 +154,7 @@ class SummaryAccumulator:
         elif name == "prune_plan":
             prune = self.prune
             prune["plans"] += 1
-            for key in ("masks", "masked", "collapsed", "classes",
-                        "simulated"):
+            for key in ("masks", "masked", "simulated"):
                 prune[key] += ev.get(key, 0)
         elif name == "pruned":
             rule = ev.get("rule", "unknown")
@@ -305,9 +304,7 @@ class SummaryAccumulator:
                       "invariants": dict(self.guard["invariants"])},
             "prune": {**self.prune,
                       "rules": dict(sorted(self.prune["rules"].items())),
-                      "rate": ((self.prune["masked"]
-                                + self.prune["collapsed"])
-                               / self.prune["masks"]
+                      "rate": (self.prune["masked"] / self.prune["masks"]
                                if self.prune["masks"] else 0.0)},
         }
 
@@ -374,8 +371,7 @@ def render_report(summary: dict) -> str:
     if pr.get("plans"):
         lines.append("")
         lines.append(
-            f"pruning    {pr['masked']} masked by analysis + "
-            f"{pr['collapsed']} collapsed ({pr['classes']} classes) -> "
+            f"pruning    {pr['masked']} masked by analysis -> "
             f"{pr['simulated']} of {pr['masks']} masks simulated "
             f"({100 * pr['rate']:.1f}% pruned)")
         for rule, count in pr.get("rules", {}).items():

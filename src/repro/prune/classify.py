@@ -1,8 +1,8 @@
-"""Mask pre-classification and fault-equivalence collapsing.
+"""Mask pre-classification against the golden access trace.
 
 Given the planned mask set of a campaign and the golden run's
 :class:`~repro.prune.trace.AccessTrace`, :func:`build_prune_plan`
-decides, per fault set, one of three fates *before any simulation*:
+decides, per fault set, one of two fates *before any simulation*:
 
 **Masked by analysis** — the flip provably cannot change the run:
 
@@ -23,26 +23,23 @@ These are the static counterparts of the paper's §III.B *runtime*
 early-stop rules: what the watch machinery discovers by simulating up
 to the first access, the golden trace already knows.
 
-**Collapsed** — two surviving masks hitting the same (entry, bit) with
-no intervening access event between their injection cycles produce
-bit-identical machine states at the first subsequent access (execution
-is golden-identical until then, and an XOR flip commutes with nothing
-happening).  Such masks form an equivalence class; one representative
-is simulated and its observables fanned out to the rest.
-
 **Simulated** — everything else, plus every multi-mask, intermittent or
 permanent fault set (stuck-at faults interact with every access in
 their window; only single transient flips are analyzable this way).
 
-Pruned and collapsed masks still yield full :class:`InjectionRecord`\\ s
-— carrying the golden (or representative) observables so the Parser
-classifies them through the normal path — marked with the new
-``pruned`` provenance field.  :func:`audit_plan` is the empirical gate:
-it really simulates a seeded sample of pruned masks, compares the
-Parser's verdicts, and cross-checks the dispatcher's pristine state
-digest (the guard integrity machinery) before and after, so a pruning
-bug or a contaminated machine shows up as a divergence count, not a
-silently wrong study.
+Pruned masks still yield full :class:`InjectionRecord`\\ s — carrying
+the golden observables so the Parser classifies them through the
+normal path — marked with the ``pruned`` provenance field.
+:func:`audit_plan` is the empirical gate: it really simulates a seeded
+sample of pruned masks, compares the Parser's verdicts, and
+cross-checks the dispatcher's pristine state digest (the guard
+integrity machinery) before and after, so a pruning bug or a
+contaminated machine shows up as a divergence count, not a silently
+wrong study.
+
+Surviving masks are not collapsed into fault-equivalence classes:
+under random sampling that saves under 1 % of the simulations
+(docs/performance.md "Campaign pruning").
 """
 
 from __future__ import annotations
@@ -57,47 +54,42 @@ from repro.prune.trace import AccessTrace
 
 # Prune policies (StudySpec.prune / campaign --prune).
 PRUNE_OFF = "off"
-PRUNE_ANALYZE = "analyze"        # masked-by-analysis rules only
-PRUNE_COLLAPSE = "collapse"      # rules + equivalence-class collapsing
-PRUNE_POLICIES = (PRUNE_OFF, PRUNE_ANALYZE, PRUNE_COLLAPSE)
+PRUNE_ANALYZE = "analyze"        # masked-by-analysis rules
+PRUNE_POLICIES = (PRUNE_OFF, PRUNE_ANALYZE)
 
 RULE_DEAD = "dead-entry"
 RULE_OVERWRITTEN = "write-before-read"
 RULE_NEVER_READ = "never-read"
-RULE_EQUIVALENT = "equivalent"
 PRUNE_RULES = (RULE_DEAD, RULE_OVERWRITTEN, RULE_NEVER_READ)
 
 
 def classify_mask(struct_trace, entry: int, bit: int,
-                  cycle: int) -> tuple[str | None, int]:
+                  cycle: int) -> str | None:
     """One mask against one entry's golden events.
 
-    Returns ``(rule, window)``: *rule* is a :data:`PRUNE_RULES` name
-    when the mask is provably Masked, else None; *window* is the index
-    of the first event the flip could influence (the equivalence-class
-    key component).  The flip at cycle *c* lands after every event
+    Returns the :data:`PRUNE_RULES` name when the mask is provably
+    Masked, else None.  The flip at cycle *c* lands after every event
     stamped ``<= c`` — the dispatcher applies masks on cycle edges.
     """
     if not struct_trace.filled_at(entry, cycle):
-        return RULE_DEAD, -1
+        return RULE_DEAD
     events = struct_trace.events_for(entry)
     stamps = [ev[0] for ev in events]
-    idx = bisect_right(stamps, cycle)
     byte = bit // 8
-    for ev in events[idx:]:
+    for ev in events[bisect_right(stamps, cycle):]:
         kind = ev[1]
         if kind == "r":
-            return None, idx
+            return None
         if kind in ("W", "F"):
-            return RULE_OVERWRITTEN, idx
+            return RULE_OVERWRITTEN
         if kind == "w":
             if ev[2] <= byte < ev[3]:
-                return RULE_OVERWRITTEN, idx
+                return RULE_OVERWRITTEN
             continue                 # partial write elsewhere in the line
         if kind == "i":
             # Invalidated unread: the corrupted storage is discarded.
-            return RULE_NEVER_READ, idx
-    return RULE_NEVER_READ, idx
+            return RULE_NEVER_READ
+    return RULE_NEVER_READ
 
 
 class PrunePlan:
@@ -107,36 +99,21 @@ class PrunePlan:
         self.policy = policy
         self.trace = trace
         self.masked: dict[int, str] = {}        # set_id -> rule
-        self.clones: dict[int, int] = {}        # set_id -> representative
-        self.classes: dict[int, list[int]] = {}  # rep -> member set_ids
         self.rules: dict[str, int] = {}
         self.by_structure: dict[str, dict] = {}
         self.masks_total = 0
 
-    @property
-    def pruned_ids(self) -> list[int]:
-        return sorted([*self.masked, *self.clones])
-
     def decision(self, set_id: int):
-        """``("masked", rule)`` | ``("clone", rep_id)`` | ``None``."""
+        """``("masked", rule)`` or ``None`` (simulate it)."""
         rule = self.masked.get(set_id)
-        if rule is not None:
-            return ("masked", rule)
-        rep = self.clones.get(set_id)
-        if rep is not None:
-            return ("clone", rep)
-        return None
+        return ("masked", rule) if rule is not None else None
 
     def stats(self) -> dict:
-        masked = len(self.masked)
-        collapsed = len(self.clones)
         return {
             "policy": self.policy,
             "masks": self.masks_total,
-            "masked": masked,
-            "collapsed": collapsed,
-            "classes": len(self.classes),
-            "simulated": self.masks_total - masked - collapsed,
+            "masked": len(self.masked),
+            "simulated": self.masks_total - len(self.masked),
             "rules": dict(sorted(self.rules.items())),
             "by_structure": {
                 name: dict(d) for name, d
@@ -156,7 +133,6 @@ def build_prune_plan(sets, trace: AccessTrace,
     plan.masks_total = len(sets)
     if policy == PRUNE_OFF:
         return plan
-    reps: dict[tuple, int] = {}      # (structure, entry, bit, window) -> rep
     for fs in sets:
         if not fs.single:
             continue
@@ -167,23 +143,10 @@ def build_prune_plan(sets, trace: AccessTrace,
         per = plan.by_structure.setdefault(
             mask.structure, {"masks": 0, "pruned": 0})
         per["masks"] += 1
-        rule, window = classify_mask(st, mask.entry, mask.bit, mask.cycle)
+        rule = classify_mask(st, mask.entry, mask.bit, mask.cycle)
         if rule is not None:
             plan.masked[fs.set_id] = rule
             plan.rules[rule] = plan.rules.get(rule, 0) + 1
-            per["pruned"] += 1
-            continue
-        if policy != PRUNE_COLLAPSE:
-            continue
-        key = (mask.structure, mask.entry, mask.bit, window)
-        rep = reps.get(key)
-        if rep is None:
-            reps[key] = fs.set_id
-        else:
-            plan.clones[fs.set_id] = rep
-            plan.classes.setdefault(rep, []).append(fs.set_id)
-            plan.rules[RULE_EQUIVALENT] = \
-                plan.rules.get(RULE_EQUIVALENT, 0) + 1
             per["pruned"] += 1
     return plan
 
@@ -205,25 +168,6 @@ def synthetic_masked_record(fault_set: FaultSet, golden: GoldenReference,
         pruned=rule)
 
 
-def clone_record(rep: InjectionRecord,
-                 fault_set: FaultSet) -> InjectionRecord:
-    """The representative's observables under a class member's identity."""
-    return InjectionRecord(
-        set_id=fault_set.set_id,
-        masks=[m.to_dict() for m in fault_set.masks],
-        reason=rep.reason,
-        exit_code=rep.exit_code,
-        output_hex=rep.output_hex,
-        events=list(rep.events),
-        signal=rep.signal,
-        detail=rep.detail,
-        cycles=rep.cycles,
-        early_stop=rep.early_stop,
-        injected=rep.injected,
-        invariant=rep.invariant,
-        pruned=RULE_EQUIVALENT)
-
-
 # -- the empirical gate ----------------------------------------------------
 
 def audit_plan(dispatcher, sets_by_id: dict, records_by_id: dict,
@@ -240,7 +184,7 @@ def audit_plan(dispatcher, sets_by_id: dict, records_by_id: dict,
     """
     from repro.guard.integrity import state_digest
 
-    candidates = plan.pruned_ids
+    candidates = sorted(plan.masked)
     rng = random.Random(seed)
     n = min(count, len(candidates))
     sample = sorted(rng.sample(candidates, n)) if n else []
@@ -254,7 +198,7 @@ def audit_plan(dispatcher, sets_by_id: dict, records_by_id: dict,
         if actual_cls != expected_cls:
             divergences.append({
                 "set_id": set_id,
-                "rule": plan.masked.get(set_id, RULE_EQUIVALENT),
+                "rule": plan.masked[set_id],
                 "expected": expected_cls,
                 "actual": actual_cls,
                 "reason": actual.reason,

@@ -81,6 +81,21 @@ class WorkUnit:
         return (study_seed * 1_000_003
                 + zlib.crc32(self.unit_id.encode())) & 0x7FFFFFFF
 
+    def masks(self, spec: "StudySpec", info, total_cycles: int) -> list:
+        """The unit's deterministic mask stream over a golden run of
+        *total_cycles* cycles of structure *info*.
+
+        Exactly the masks ``run_unit``'s campaign draws: both go
+        through :func:`~repro.core.campaign.draw_masks` with the unit's
+        seed and fault model and the spec's sampling knobs, so
+        attestation can re-derive a remote unit's masks file from the
+        spec alone.
+        """
+        from repro.core.campaign import draw_masks
+        return draw_masks(info, total_cycles, self.seed(spec.seed),
+                          self.fault_type, spec.injections,
+                          spec.confidence, spec.error_margin)
+
     def to_dict(self) -> dict:
         return {"setup": self.setup, "benchmark": self.benchmark,
                 "structure": self.structure, "fault_type": self.fault_type}

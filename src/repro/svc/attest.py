@@ -41,7 +41,7 @@ from collections import deque
 from functools import lru_cache
 from pathlib import Path
 
-from repro.core.maskgen import FaultMaskGenerator, StructureInfo
+from repro.core.maskgen import StructureInfo
 from repro.core.outcome import GoldenReference, InjectionRecord
 from repro.core.parser import classify_all
 from repro.obs.metrics import MetricsRegistry
@@ -127,12 +127,8 @@ def canonical_masks_text(unit: WorkUnit, spec: StudySpec,
             "mask-stream",
             f"{unit.setup} has no structure {unit.structure!r}")
     entries, bits = geometry[unit.structure]
-    info = StructureInfo(unit.structure, entries, bits)
-    gen = FaultMaskGenerator(unit.seed(spec.seed))
-    sets = gen.generate(info, total_cycles, count=spec.injections,
-                        fault_type=unit.fault_type,
-                        confidence=spec.confidence,
-                        error_margin=spec.error_margin)
+    sets = unit.masks(spec, StructureInfo(unit.structure, entries, bits),
+                      total_cycles)
     return "".join(json.dumps(fs.to_dict()) + "\n" for fs in sets)
 
 

@@ -55,6 +55,7 @@ from pathlib import Path
 
 from repro.core.ioutil import atomic_write_text
 from repro.core.report import SETUPS, golden_stats, run_figure
+from repro.prune import PRUNE_POLICIES
 
 FIGURE_STRUCTURES = {
     "fig2": "int_rf",
@@ -142,10 +143,8 @@ def _cmd_campaign(args) -> int:
         if result.prune is not None:
             p = result.prune
             print(f"  prune [{p['policy']}]: {p['masked']} masked by "
-                  f"analysis + {p['collapsed']} collapsed "
-                  f"({p['classes']} classes) -> {p['simulated']} of "
-                  f"{p['masks']} simulated  "
-                  f"(trace: {p.get('trace_source')})")
+                  f"analysis -> {p['simulated']} of {p['masks']} "
+                  f"simulated  (trace: {p.get('trace_source')})")
             audit = p.get("audit")
             if audit is not None:
                 verdict = ("OK" if not audit["divergences"]
@@ -895,13 +894,10 @@ def main(argv=None) -> int:
                              "containment, restore integrity "
                              "(docs/robustness.md)")
     p_camp.add_argument("--no-early-stop", action="store_true")
-    p_camp.add_argument("--prune", choices=["off", "analyze", "collapse"],
-                        default="off",
+    p_camp.add_argument("--prune", choices=PRUNE_POLICIES, default="off",
                         help="golden-trace pre-classification: 'analyze' "
                              "marks provably-Masked masks without "
-                             "simulation; 'collapse' also simulates one "
-                             "representative per fault-equivalence class "
-                             "(docs/performance.md)")
+                             "simulation (docs/performance.md)")
     p_camp.add_argument("--trace-cache", default=None, metavar="DIR",
                         help="directory caching the golden access trace "
                              "per (setup, benchmark)")
@@ -1007,8 +1003,7 @@ def main(argv=None) -> int:
                        help="hardening policy applied in every unit "
                             "worker (docs/robustness.md)")
     p_run.add_argument("--no-early-stop", action="store_true")
-    p_run.add_argument("--prune", choices=["off", "analyze", "collapse"],
-                       default="off",
+    p_run.add_argument("--prune", choices=PRUNE_POLICIES, default="off",
                        help="golden-trace pre-classification in every "
                             "unit worker (see campaign --prune)")
     p_run.add_argument("--shard", type=_parse_shard, default=None,

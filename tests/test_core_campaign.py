@@ -5,7 +5,7 @@ import copy
 
 import pytest
 
-from repro.core.campaign import InjectionCampaign
+from repro.core.campaign import InjectionCampaign, run_campaign
 from repro.core.checkpoint import CheckpointStore
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import (INTERMITTENT, PERMANENT, TRANSIENT, FaultMask,
@@ -14,6 +14,7 @@ from repro.core.outcome import MASKED
 from repro.core.parser import classify
 from repro.core.repository import LogsRepository, MasksRepository
 from repro.errors import CampaignError
+from repro.obs import RingBufferSink, Tracer
 from repro.sim.config import setup_config
 
 from tests.helpers import tiny_program
@@ -288,3 +289,47 @@ class TestCampaignController:
         seen = []
         c.run(progress=lambda i, n, rec: seen.append((i, n)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestReusedPaths:
+    """A logs or masks file left by an earlier campaign: resume or refuse."""
+
+    CELL = ("GeFIN-x86", "sha", "l1d")
+
+    def test_logs_of_another_seed_are_refused(self, tmp_path):
+        logs = tmp_path / "logs.jsonl"
+        run_campaign(*self.CELL, injections=4, seed=1, logs_path=logs)
+        before = logs.read_bytes()
+        with pytest.raises(ValueError, match="mask stream"):
+            run_campaign(*self.CELL, injections=4, seed=2, logs_path=logs)
+        assert logs.read_bytes() == before
+
+    def test_masks_of_another_seed_are_refused(self, tmp_path):
+        masks = tmp_path / "masks.jsonl"
+        config = setup_config("GeFIN-x86")
+
+        def campaign(seed):
+            return InjectionCampaign(config, tiny_program("x86"), "tiny",
+                                     "l1d", seed=seed, masks_path=masks)
+
+        first = campaign(1)
+        first.prepare(injections=4)
+        first.run()
+        before = masks.read_bytes()
+        with pytest.raises(ValueError, match="mask stream"):
+            again = campaign(2)
+            again.prepare(injections=4)
+            again.run()
+        assert masks.read_bytes() == before
+
+    def test_same_cell_and_seed_resumes(self, tmp_path):
+        logs = tmp_path / "logs.jsonl"
+        first = run_campaign(*self.CELL, injections=4, seed=1,
+                             logs_path=logs)
+        before = logs.read_bytes()
+        sink = RingBufferSink()
+        again = run_campaign(*self.CELL, injections=4, seed=1,
+                             logs_path=logs, tracer=Tracer(sink))
+        assert sink.names().count("inject_start") == 0
+        assert again.records == first.records
+        assert logs.read_bytes() == before

@@ -1,4 +1,8 @@
-"""Parallel campaign runner: parallel must equal serial exactly."""
+"""Parallel campaign runner: failures inside the pool.
+
+That parallel logs equal serial ones byte for byte is pinned by
+tests/test_cell_conformance.py.
+"""
 
 import multiprocessing as mp
 
@@ -10,21 +14,6 @@ from repro.core.parallel import run_campaign_parallel
 fork_only = pytest.mark.skipif(
     mp.get_start_method(True) == "spawn",
     reason="monkeypatching workers needs the fork start method")
-
-
-@pytest.mark.parametrize("structure", ["int_rf", "l1d"])
-def test_parallel_matches_serial(structure):
-    serial = run_campaign("GeFIN-x86", "sha", structure, injections=8,
-                          seed=21)
-    parallel = run_campaign_parallel("GeFIN-x86", "sha", structure,
-                                     injections=8, seed=21, workers=2)
-    assert parallel.injections == serial.injections == 8
-    assert parallel.classify() == serial.classify()
-    # Record-by-record equality (merged back in mask order).
-    for a, b in zip(serial.records, parallel.records):
-        assert a.reason == b.reason
-        assert a.output_hex == b.output_hex
-        assert a.early_stop == b.early_stop
 
 
 def test_parallel_unknown_structure():

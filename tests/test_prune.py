@@ -1,26 +1,26 @@
-"""repro.prune: golden-trace pre-classification and equivalence pruning.
+"""repro.prune: golden-trace pre-classification.
 
 The contract under test is soundness: a pruned campaign must classify
 *identically* to an unpruned one — the analyzer only skips simulations
 whose verdict the golden access trace already determines.  Covered
 here: the per-rule classifier against hand-built traces, trace
-determinism (serial == parallel, byte-identical), the disk cache, the
-audit gate on both setup families, parallel/serial record equality,
+determinism, the disk cache, the audit gate on both setup families,
 the scheduler integration, and the mask-generator dedup regression.
+Parallel and scheduler logs equal serial ones byte for byte under
+pruning: tests/test_cell_conformance.py.
 """
 
 import hashlib
 
 import pytest
 
-from repro.core.campaign import InjectionCampaign, run_campaign
+from repro.core.campaign import InjectionCampaign
 from repro.core.fault import INTERMITTENT, TRANSIENT, FaultMask, FaultSet
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
-from repro.core.parallel import run_campaign_parallel
-from repro.prune import (PRUNE_ANALYZE, PRUNE_COLLAPSE, PRUNE_OFF,
-                         RULE_DEAD, RULE_NEVER_READ, RULE_OVERWRITTEN,
-                         AccessTrace, StructureTrace, TraceCache,
-                         build_prune_plan, classify_mask)
+from repro.prune import (PRUNE_ANALYZE, PRUNE_OFF, RULE_DEAD,
+                         RULE_NEVER_READ, RULE_OVERWRITTEN, AccessTrace,
+                         StructureTrace, TraceCache, build_prune_plan,
+                         classify_mask)
 from repro.sched.plan import StudySpec, WorkUnit
 from repro.sched.worker import run_unit
 from repro.sim.config import setup_config
@@ -41,51 +41,49 @@ def line_trace(events, initial=(0,)):
 class TestClassifyMask:
     def test_read_first_is_not_prunable(self):
         st = word_trace({0: [[5, "r"]]})
-        rule, window = classify_mask(st, 0, 3, cycle=2)
-        assert rule is None and window == 0
+        assert classify_mask(st, 0, 3, cycle=2) is None
 
     def test_flip_on_read_cycle_lands_after_the_read(self):
         # The dispatcher applies masks on cycle edges: a flip at cycle c
         # lands after every event stamped <= c.
         st = word_trace({0: [[3, "r"]]})
-        rule, _ = classify_mask(st, 0, 0, cycle=3)
-        assert rule == RULE_NEVER_READ
+        assert classify_mask(st, 0, 0, cycle=3) == RULE_NEVER_READ
 
     def test_dead_entry_never_filled(self):
         st = line_trace({}, initial=())
-        assert classify_mask(st, 0, 0, cycle=5)[0] == RULE_DEAD
+        assert classify_mask(st, 0, 0, cycle=5) == RULE_DEAD
 
     def test_dead_entry_after_invalidate(self):
         st = line_trace({0: [[4, "i"], [9, "F"], [12, "r"]]})
-        assert classify_mask(st, 0, 0, cycle=6)[0] == RULE_DEAD
+        assert classify_mask(st, 0, 0, cycle=6) == RULE_DEAD
         # Refilled at 9: live again, and read at 12.
-        assert classify_mask(st, 0, 0, cycle=10)[0] is None
+        assert classify_mask(st, 0, 0, cycle=10) is None
 
     def test_covering_write_erases_the_flip(self):
         st = word_trace({2: [[6, "W"], [9, "r"]]})
-        assert classify_mask(st, 2, 0, cycle=2)[0] == RULE_OVERWRITTEN
+        assert classify_mask(st, 2, 0, cycle=2) == RULE_OVERWRITTEN
 
     def test_fill_erases_the_flip(self):
         st = line_trace({0: [[6, "F"], [9, "r"]]})
-        assert classify_mask(st, 0, 0, cycle=2)[0] == RULE_OVERWRITTEN
+        assert classify_mask(st, 0, 0, cycle=2) == RULE_OVERWRITTEN
 
     def test_partial_write_covers_only_its_bytes(self):
         st = line_trace({0: [[6, "w", 0, 8], [20, "r"]]})
         # bit 8 lives in byte 1, inside [0, 8): overwritten unread.
-        assert classify_mask(st, 0, 8, cycle=2)[0] == RULE_OVERWRITTEN
+        assert classify_mask(st, 0, 8, cycle=2) == RULE_OVERWRITTEN
         # bit 100 lives in byte 12, outside [0, 8): survives to the read.
-        assert classify_mask(st, 0, 100, cycle=2)[0] is None
+        assert classify_mask(st, 0, 100, cycle=2) is None
 
     def test_invalidated_unread(self):
         st = line_trace({0: [[6, "w", 0, 4], [9, "i"]]})
-        assert classify_mask(st, 0, 400, cycle=2)[0] == RULE_NEVER_READ
+        assert classify_mask(st, 0, 400, cycle=2) == RULE_NEVER_READ
 
     def test_never_touched_again(self):
         st = word_trace({1: [[3, "r"]]})
-        assert classify_mask(st, 1, 0, cycle=7)[0] == RULE_NEVER_READ
+        assert classify_mask(st, 1, 0, cycle=7) == RULE_NEVER_READ
 
 
-# -- plan construction and equivalence classes -----------------------------
+# -- plan construction -----------------------------------------------------
 
 def _single(set_id, cycle, bit=1, entry=0, structure="int_rf",
             fault_type=TRANSIENT, duration=0):
@@ -102,32 +100,25 @@ def _trace_for(st):
 
 
 class TestBuildPrunePlan:
-    def test_same_window_masks_collapse_to_one_representative(self):
+    def test_analyze_masks_unread_flips_and_simulates_the_rest(self):
         trace = _trace_for(word_trace({0: [[10, "r"], [20, "r"]]}))
         sets = [_single(0, 2), _single(1, 5), _single(2, 15),
                 _single(3, 25)]
-        plan = build_prune_plan(sets, trace, PRUNE_COLLAPSE)
-        # Cycles 2 and 5 share the pre-first-read window: one clone.
-        assert plan.clones == {1: 0}
-        assert plan.classes == {0: [1]}
-        # Cycle 15 is a different window — its own representative.
-        assert plan.decision(2) is None
+        plan = build_prune_plan(sets, trace, PRUNE_ANALYZE)
         # Cycle 25: nothing ever reads the entry again.
         assert plan.masked == {3: RULE_NEVER_READ}
-        assert plan.stats()["simulated"] == 2
-
-    def test_analyze_policy_never_collapses(self):
-        trace = _trace_for(word_trace({0: [[10, "r"]]}))
-        sets = [_single(0, 2), _single(1, 5)]
-        plan = build_prune_plan(sets, trace, PRUNE_ANALYZE)
-        assert plan.clones == {} and plan.masked == {}
+        assert plan.decision(3) == ("masked", RULE_NEVER_READ)
+        # Every other flip is read before it is overwritten.
+        assert [plan.decision(i) for i in range(3)] == [None] * 3
+        stats = plan.stats()
+        assert (stats["masked"], stats["simulated"]) == (1, 3)
 
     def test_multi_mask_and_non_transient_sets_are_simulated(self):
         trace = _trace_for(word_trace({}))
         multi = FaultSet(masks=(_single(0, 2).masks[0],
                                 _single(0, 3, bit=2).masks[0]), set_id=0)
         interm = _single(1, 2, fault_type=INTERMITTENT)
-        plan = build_prune_plan([multi, interm], trace, PRUNE_COLLAPSE)
+        plan = build_prune_plan([multi, interm], trace, PRUNE_ANALYZE)
         assert plan.decision(0) is None and plan.decision(1) is None
 
     def test_off_policy_prunes_nothing(self):
@@ -173,7 +164,7 @@ def _campaign(setup, prune, audit=0, structure="l1d", trace_cache=None):
 def pruned_pair(request):
     setup = request.param
     return (setup, _campaign(setup, PRUNE_OFF),
-            _campaign(setup, PRUNE_COLLAPSE, audit=8))
+            _campaign(setup, PRUNE_ANALYZE, audit=8))
 
 
 class TestCampaignSoundness:
@@ -192,11 +183,10 @@ class TestCampaignSoundness:
     def test_prune_accounting_is_closed(self, pruned_pair):
         _, _, pruned = pruned_pair
         stats = pruned.prune
-        assert stats["masked"] + stats["collapsed"] > 0
-        assert (stats["masked"] + stats["collapsed"]
-                + stats["simulated"]) == stats["masks"] == 30
+        assert stats["masked"] > 0
+        assert stats["masked"] + stats["simulated"] == stats["masks"] == 30
         marked = [r for r in pruned.records if r.pruned is not None]
-        assert len(marked) == stats["masked"] + stats["collapsed"]
+        assert len(marked) == stats["masked"]
 
     def test_early_stops_count_only_simulated_runs(self, pruned_pair):
         _, _, pruned = pruned_pair
@@ -242,20 +232,6 @@ class TestTraceDeterminismAndCache:
         assert result.prune["trace_digest"] == first.prune["trace_digest"]
 
 
-class TestParallelParity:
-    def test_parallel_equals_serial_under_pruning(self):
-        kw = dict(injections=12, seed=21, prune=PRUNE_COLLAPSE)
-        serial = run_campaign("GeFIN-x86", "sha", "l1d", **kw)
-        parallel = run_campaign_parallel("GeFIN-x86", "sha", "l1d",
-                                         workers=2, **kw)
-        assert parallel == serial          # records, prune stats, digest
-        assert parallel.classify() == serial.classify()
-        assert parallel.prune["trace_digest"] == \
-            serial.prune["trace_digest"]
-        assert [r.pruned for r in parallel.records] == \
-            [r.pruned for r in serial.records]
-
-
 # -- scheduler integration -------------------------------------------------
 
 class TestSchedPrune:
@@ -270,7 +246,7 @@ class TestSchedPrune:
         base = dict(setups=("MaFIN-x86",), benchmarks=("sha",),
                     structures=("l1d",), injections=10, seed=5)
         off = run_unit(unit, StudySpec(**base), tmp_path / "off.jsonl")
-        pruned = run_unit(unit, StudySpec(prune="collapse", **base),
+        pruned = run_unit(unit, StudySpec(prune="analyze", **base),
                           tmp_path / "pruned.jsonl")
         assert pruned["counts"] == off["counts"]
         assert pruned["pruned"] > 0
@@ -280,7 +256,7 @@ class TestSchedPrune:
         unit = WorkUnit("MaFIN-x86", "sha", "l1d")
         spec = StudySpec(setups=("MaFIN-x86",), benchmarks=("sha",),
                          structures=("l1d",), injections=10, seed=5,
-                         prune="collapse")
+                         prune="analyze")
         logs = tmp_path / "unit.jsonl"
         first = run_unit(unit, spec, logs)
         again = run_unit(unit, spec, logs)

@@ -6,6 +6,7 @@ but exercise the machinery the paper's month-long studies depend on.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -16,8 +17,9 @@ import pytest
 
 from repro.core.campaign import run_campaign
 from repro.sched import (DONE, QUARANTINED, CampaignPlan, Scheduler,
-                         StudySpec, load_journal, merge_studies, run_study,
-                         run_unit, study_status)
+                         StudySpec, WorkUnit, load_journal, merge_studies,
+                         run_study, run_unit, study_status)
+from repro.sched.worker import unit_entry
 from repro.svc import fsck_study
 
 TWO_SETUPS = ("MaFIN-x86", "GeFIN-x86")
@@ -76,6 +78,18 @@ class TestUnitLosslessness:
         # Same file, different spec seed -> different mask stream.
         with pytest.raises(ValueError, match="mask stream"):
             run_unit(plan.unit(uid), spec(seed=8), logs)
+
+    def test_failed_unit_reports_its_unit_id(self, tmp_path, monkeypatch):
+        uid = f"{TWO_SETUPS[1]}/sha/int_rf/transient"
+        monkeypatch.setenv("REPRO_SCHED_CHAOS", f"{uid}=fail:1")
+        payload = {"unit": WorkUnit.from_id(uid).to_dict(),
+                   "spec": spec().to_dict(),
+                   "logs_path": str(tmp_path / "logs.jsonl")}
+        ours, theirs = multiprocessing.Pipe()
+        unit_entry(theirs, payload)
+        result = ours.recv()
+        assert result["ok"] is False and result["unit"] == uid
+        assert "ChaosFailure" in result["error"]
 
 
 class TestScheduler:

@@ -105,10 +105,9 @@ class TestParallelShipping:
         program = suite.program("sha", config.isa, 1)
         parent = InjectorDispatcher(config, program, n_checkpoints=6)
         parent.run_golden()
-        blob = parallel._build_payload(parent)
-        spec = parallel._CellSpec("MaFIN-x86", "sha", "l1d", True, True,
-                                  1, 6)
-        parallel._worker_init(spec, blob)
+        blob = parallel.build_golden_payload(parent)
+        parallel._worker_init(config, program, 6, None, parent.guard, True,
+                              blob)
         try:
             worker = parallel._WORKER_STATE["dispatcher"]
             assert worker.golden.to_dict() == parent.golden.to_dict()
