@@ -42,8 +42,8 @@ from repro.core.checkpoint import CheckpointStore
 from repro.errors import CampaignError
 
 # Mutable memo caches on shared-immutable decode objects: excluded from
-# digests so a later run lazily filling a cache (Instr.needs, UOp src
-# tuples) cannot read as contamination of an older sealed state.
+# digests so a later run lazily building one (an Instr's dispatch plan,
+# Instr.plan) cannot read as contamination of an older sealed state.
 _TYPED_ATTRS = {
     "Instr": ("mnemonic", "length", "raw", "is_branch", "is_call",
               "is_ret", "is_indirect", "is_cond", "target"),

@@ -201,6 +201,9 @@ class UOp:
         system call, executed at commit by the kernel model.
     """
 
+    # ``srcs_t`` and ``dst_t`` are no longer set: they held per-µop
+    # memos that dispatch plans replaced, and stay declared so that
+    # golden blobs pickled with them still load.
     __slots__ = ("kind", "op", "rd", "rs1", "rs2", "imm", "size",
                  "srcs_t", "dst_t")
 
@@ -212,8 +215,6 @@ class UOp:
         self.rs2 = rs2
         self.imm = imm
         self.size = size
-        self.srcs_t = None       # lazily cached tuple of srcs()
-        self.dst_t = -1          # lazily cached dst() (-1 = not computed)
 
     def srcs(self):
         """Architectural source registers read by this µop."""
@@ -247,20 +248,6 @@ class UOp:
     def is_branch(self) -> bool:
         return self.kind in ("br", "jmp", "ijmp")
 
-    def srcs_cached(self):
-        t = self.srcs_t
-        if t is None:
-            t = tuple(self.srcs())
-            self.srcs_t = t
-        return t
-
-    def dst_cached(self):
-        d = self.dst_t
-        if d == -1:
-            d = self.dst()
-            self.dst_t = d
-        return d
-
     def __repr__(self):
         return (
             f"UOp({self.kind},{self.op},rd={self.rd},rs1={self.rs1},"
@@ -279,7 +266,10 @@ class Instr:
     mnemonic: str
     length: int
     uops: list = field(default_factory=list)
-    needs: tuple | None = None   # cached (nuops, niq, nloads, nstores, ndst)
+    # The out-of-order core's dispatch plan, built on first dispatch
+    # (repro.sim.base._dispatch_plan).  An Instr unpickled from a blob
+    # that predates the field reads the class default and rebuilds it.
+    plan: tuple | None = field(default=None, compare=False)
     # Static branch metadata used by the front end.
     is_branch: bool = False
     is_call: bool = False

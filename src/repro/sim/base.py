@@ -32,7 +32,7 @@ from repro.sim.stats import new_stats
 from repro.uarch.array import FaultSite, WordArray
 from repro.uarch.btb import BTB
 from repro.uarch.cache import Cache
-from repro.uarch.issueq import IssueQueue
+from repro.uarch.issueq import IssueQueue, static_fields
 from repro.uarch.predictor import TournamentPredictor
 from repro.uarch.prefetcher import StridePrefetcher
 from repro.uarch.ras import RAS
@@ -52,6 +52,36 @@ _NOT_ALU_OPS = frozenset(("eq", "ne", "lt", "le", "gt", "ge", "ult", "ule",
 # bytes, so entries are safe to share across runs and simulators.
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_MAX = 1 << 16
+
+
+def _dispatch_plan(instr) -> tuple:
+    """Build and keep *instr*'s dispatch plan; see :attr:`Instr.plan`.
+
+    ``(nuops, need_iq, nloads, nstores, ndst, uops)``: the resources
+    :meth:`OoOCore._has_resources` checks, then one ``(uop, kind, src1,
+    src2, dst, iq_static)`` per µop with its first two architectural
+    sources, its architectural destination and, for a µop that enters
+    the issue queue, its :func:`~repro.uarch.issueq.static_fields`.
+    A decoded instruction never changes, so neither does its plan.
+    """
+    uops = []
+    for uop in instr.uops:
+        kind = uop.kind
+        srcs = uop.srcs()
+        uops.append((uop, kind,
+                     srcs[0] if srcs else None,
+                     srcs[1] if len(srcs) > 1 else None,
+                     uop.dst(),
+                     None if kind in ("sys", "nop")
+                     else static_fields(kind, uop.op, uop.size, uop.imm)))
+    plan = (max(len(uops), 1),
+            sum(1 for u in uops if u[5] is not None),
+            sum(1 for u in uops if u[1] == "load"),
+            sum(1 for u in uops if u[1] == "store"),
+            sum(1 for u in uops if u[4] is not None),
+            tuple(uops))
+    instr.plan = plan
+    return plan
 
 
 class RobEntry:
@@ -540,7 +570,7 @@ class OoOCore:
     def _train_prefetcher(self, pref: StridePrefetcher, cache: Cache,
                           key_addr: int, pa: int) -> None:
         target = pref.train((key_addr >> 4) & 0xFFFF,
-                            cache.line_base(pa), self.cycle)
+                            pa & ~(cache.line_size - 1), self.cycle)
         if target is None:
             return
         target &= self.mem.size - 1
@@ -634,16 +664,8 @@ class OoOCore:
 
     def _has_resources(self, instr) -> bool:
         """Check ROB/IQ/LSQ/free-list space without side effects."""
-        needs = instr.needs
-        if needs is None:
-            uops = instr.uops
-            needs = (max(len(uops), 1),
-                     sum(1 for u in uops if u.kind not in ("sys", "nop")),
-                     sum(1 for u in uops if u.kind == "load"),
-                     sum(1 for u in uops if u.kind == "store"),
-                     sum(1 for u in uops if u.dst_cached() is not None))
-            instr.needs = needs
-        nuops, need_iq, nloads, nstores, ndst = needs
+        plan = instr.plan or _dispatch_plan(instr)
+        nuops, need_iq, nloads, nstores, ndst, _uops = plan
         cfg = self.config
         if len(self.rob) + nuops > cfg.rob_size:
             return False
@@ -664,12 +686,13 @@ class OoOCore:
     def _dispatch_instr(self, instr, pc, pred) -> None:
         """Rename and insert all µops of one instruction.
 
-        Resources must have been checked with :meth:`_has_resources`.
-        An undefined instruction dispatches as a single bubble entry and
-        halts fetch (the decoder cannot trust any later bytes); commit
-        turns it into an assert (MARSS) or an architectural #UD (gem5).
+        Resources must have been checked with :meth:`_has_resources`,
+        which also builds the instruction's dispatch plan.  An undefined
+        instruction dispatches as a single bubble entry and halts fetch
+        (the decoder cannot trust any later bytes); commit turns it
+        into an assert (MARSS) or an architectural #UD (gem5).
         """
-        uops = instr.uops
+        uops = instr.plan[5]
         if not uops:
             entry = RobEntry(self.seq, UOp("nop"), pc, instr)
             self.seq += 1
@@ -688,10 +711,10 @@ class OoOCore:
         free_list = self.free_list
         prf_ready = self.prf_ready
         rob = self.rob
-        iq_insert = self.iq.insert
+        iq_insert = self.iq.insert_static
         seq = self.seq
         last = len(uops) - 1
-        for i, uop in enumerate(uops):
+        for i, (uop, kind, a1, a2, dst_arch, iq_static) in enumerate(uops):
             entry = RobEntry(seq, uop, pc, instr)
             seq += 1
             self.seq = seq
@@ -699,9 +722,8 @@ class OoOCore:
             if i == 0:
                 entry.first = True
                 entry.snapshot = snapshot
-            src_tags = [m[a] for a in uop.srcs_cached()]
-            kind = uop.kind
-            dst_arch = uop.dst_cached()
+            s1 = m[a1] if a1 is not None else None
+            s2 = m[a2] if a2 is not None else None
             if dst_arch is not None:
                 phys = free_list.pop() if free_list else None
                 if phys is not None:
@@ -710,7 +732,17 @@ class OoOCore:
                 entry.dst_phys = phys
                 entry.old_phys = m[dst_arch]
                 m[dst_arch] = phys
-            if kind == "sys":
+            if iq_static is not None:
+                idx = iq_insert(
+                    entry, iq_static, entry.dst_phys,
+                    s1, prf_ready[s1] if s1 is not None else True,
+                    s2, prf_ready[s2] if s2 is not None else True)
+                if idx is None:
+                    self.check(False, "IQ overflow at dispatch")
+                entry.iq_idx = idx
+                if kind == "load" or kind == "store":
+                    entry.lsq = self._alloc_lsq(entry, kind == "store")
+            elif kind == "sys":
                 # Syscalls serialize at commit; reserve the r0 result reg.
                 phys = free_list.pop() if free_list else None
                 if phys is not None:
@@ -720,21 +752,8 @@ class OoOCore:
                 entry.old_phys = m[0]
                 m[0] = phys
                 entry.state = 2
-            elif kind == "nop":
+            else:  # nop
                 entry.state = 2
-            else:
-                s1 = src_tags[0] if src_tags else None
-                s2 = src_tags[1] if len(src_tags) > 1 else None
-                idx = iq_insert(
-                    entry, kind, uop.op, entry.dst_phys,
-                    s1, prf_ready[s1] if s1 is not None else True,
-                    s2, prf_ready[s2] if s2 is not None else True,
-                    uop.size, uop.imm)
-                if idx is None:
-                    self.check(False, "IQ overflow at dispatch")
-                entry.iq_idx = idx
-                if kind == "load" or kind == "store":
-                    entry.lsq = self._alloc_lsq(entry, kind == "store")
             if i == last:
                 entry.last = True
                 if instr.is_branch:
@@ -859,29 +878,8 @@ class OoOCore:
         alu_free = cfg.int_alus + cfg.complex_alus
         mul_free = cfg.complex_alus
         mem_free = cfg.mem_ports
-        # Oldest-first select among ready IQ entries.  The decoded slot
-        # cache is authoritative unless a fault touched the packed array.
-        iq = self.iq
-        arr = iq.array
-        fault_mode = bool(arr.stuck) or arr.watch is not None
-        epoch = arr.fault_epoch
-        store_epoch = self._store_epoch
-        slots = iq.slots
-        candidates = []
-        for idx, slot in enumerate(slots):
-            # Only a valid slot holds a ROB entry.
-            entry = slot.rob
-            if entry is None or entry.state != 0:
-                continue
-            if fault_mode or slot.epoch != epoch:
-                slot = iq.view(idx, self.cycle)
-            if not (slot.rdy1 and slot.rdy2):
-                continue
-            if slot.kind == "load" and entry.retry_epoch == store_epoch:
-                continue  # still blocked by the same unresolved stores
-            candidates.append((entry.seq, idx))
-        candidates.sort()
-        for _seq, idx in candidates:
+        slots = self.iq.slots
+        for _seq, idx in self._issue_candidates():
             if budget == 0:
                 break
             # A squash triggered by an earlier candidate (memory-order
@@ -909,6 +907,57 @@ class OoOCore:
                 if self._execute(entry, slot):
                     alu_free -= 1
                     budget -= 1
+
+    def _issue_candidates(self) -> list:
+        """(ROB seq, IQ slot) of every µop ready to issue, oldest first.
+
+        Reads the issue queue's ready list while it is exact (the packed
+        array fault-free since the list was rebuilt); otherwise scans
+        every slot.  Both give the same list.
+        """
+        iq = self.iq
+        if not iq.ready_exact():
+            return self._scan_candidates()
+        store_epoch = self._store_epoch
+        slots = iq.slots
+        candidates = []
+        for idx in iq.ready:
+            slot = slots[idx]
+            entry = slot.rob
+            if entry.state != 0:
+                continue
+            if slot.kind == "load" and entry.retry_epoch == store_epoch:
+                continue  # still blocked by the same unresolved stores
+            candidates.append((entry.seq, idx))
+        candidates.sort()
+        return candidates
+
+    def _scan_candidates(self) -> list:
+        """:meth:`_issue_candidates` by a scan of every IQ slot.
+
+        The decoded slot cache is authoritative unless a fault touched
+        the packed array; then each slot is re-read through the array.
+        """
+        iq = self.iq
+        arr = iq.array
+        fault_mode = bool(arr.stuck) or arr.watch is not None
+        epoch = arr.fault_epoch
+        store_epoch = self._store_epoch
+        candidates = []
+        for idx, slot in enumerate(iq.slots):
+            # Only a valid slot holds a ROB entry.
+            entry = slot.rob
+            if entry is None or entry.state != 0:
+                continue
+            if fault_mode or slot.epoch != epoch:
+                slot = iq.view(idx, self.cycle)
+            if not (slot.rdy1 and slot.rdy2):
+                continue
+            if slot.kind == "load" and entry.retry_epoch == store_epoch:
+                continue  # still blocked by the same unresolved stores
+            candidates.append((entry.seq, idx))
+        candidates.sort()
+        return candidates
 
     def _read_phys(self, tag: int | None) -> int | None:
         if tag is None:

@@ -13,6 +13,9 @@ fault machinery off the no-fault hot path: while the packed array has
 no stuck bits and no watch, a slot whose epoch is current is exactly
 the unpacked word, so :meth:`IssueQueue.insert` fills it straight from
 its arguments and :meth:`IssueQueue.wake` flips only its ready bits.
+The queue also keeps a *ready list*, the slots whose decoded sources
+are both ready, which issue select reads instead of scanning every
+slot while the list is exact (:meth:`IssueQueue.ready_exact`).
 """
 
 from __future__ import annotations
@@ -53,6 +56,27 @@ _OP_CODE = {op: i << _OFF_OP for i, op in enumerate(OPS)}
 _OP_CODE[None] = _OP_CODE["none"]
 
 
+def static_fields(kind, op, size, imm) -> tuple:
+    """The part of an entry fixed by its µop: (word, kind, op, size, imm).
+
+    ``word`` holds the packed kind, op, size and imm bits; the others
+    are the decoded slot's fields, with the masking and sign rules of
+    the unpacker.  A dispatch plan computes them once per decoded
+    instruction.  Raises ValueError for an unknown kind or op.
+    """
+    word = _KIND_CODE.get(kind)
+    if word is None:
+        word = KINDS.index(kind)      # raises ValueError
+    op_code = _OP_CODE.get(op)
+    if op_code is None:
+        op_code = OPS.index(op) << _OFF_OP
+    size = size & ((1 << _SIZE_BITS) - 1)
+    imm = imm & 0xFFFFFFFF
+    word |= op_code | size << _OFF_SIZE | imm << _OFF_IMM
+    return (word, kind, op if op is not None else "none", size,
+            imm - 0x100000000 if imm & 0x80000000 else imm)
+
+
 class IQSlot:
     """Decoded view of one issue-queue entry plus its ROB linkage."""
 
@@ -78,6 +102,11 @@ class IssueQueue:
         # authoritative state (a corrupted tag can strand its consumer,
         # which deadlocks the pipeline — a realistic fault outcome).
         self.waiters: dict[int, list[int]] = {}
+        # Ready list: valid slots whose decoded sources are both ready.
+        # Derived state, rebuilt on restore; exact while the array has
+        # stayed fault-free since, i.e. at ``ready_epoch``.
+        self.ready: set[int] = set()
+        self.ready_epoch = 0
 
     # -- decode ---------------------------------------------------------------
 
@@ -102,24 +131,23 @@ class IssueQueue:
 
     def insert(self, rob, kind, op, dst, src1, rdy1, src2, rdy2, size,
                imm) -> int | None:
-        """Allocate a slot; returns the index or None when full.
+        """Allocate a slot; returns the index or None when full."""
+        return self.insert_static(rob, static_fields(kind, op, size, imm),
+                                  dst, src1, rdy1, src2, rdy2)
 
-        Packs the entry into the array and fills the decoded slot from
-        the same masked fields, so the slot equals what unpacking the
-        stored word would give.
+    def insert_static(self, rob, static, dst, src1, rdy1, src2,
+                      rdy2) -> int | None:
+        """:meth:`insert` with the µop's :func:`static_fields` precomputed.
+
+        ORs the tags and ready bits into the static word, writes it to
+        the array and fills the decoded slot from the same masked
+        fields, so the slot equals what unpacking the stored word would
+        give.
         """
         if not self.free:
             return None
         idx = self.free.pop()
-        word = _KIND_CODE.get(kind)
-        if word is None:
-            word = KINDS.index(kind)      # raises ValueError
-        op_code = _OP_CODE.get(op)
-        if op_code is None:
-            op_code = OPS.index(op) << _OFF_OP
-        size = size & ((1 << _SIZE_BITS) - 1)
-        imm = imm & 0xFFFFFFFF
-        word |= op_code | size << _OFF_SIZE | imm << _OFF_IMM
+        word, kind, op, size, imm = static
         slot = self.slots[idx]
         if dst is not None:
             dst = dst & _TAG_MASK
@@ -128,39 +156,44 @@ class IssueQueue:
         if src1 is not None:
             tag = src1 & _TAG_MASK
             word |= tag << _OFF_SRC1 | 1 << _OFF_HAS_SRC1
+            rdy1 = bool(rdy1)
             if rdy1:
                 word |= _RDY1
             slot.src1 = tag
-            slot.rdy1 = bool(rdy1)
         else:
             word |= _RDY1
             slot.src1 = None
-            slot.rdy1 = True
+            rdy1 = True
         if src2 is not None:
             tag = src2 & _TAG_MASK
             word |= tag << _OFF_SRC2 | 1 << _OFF_HAS_SRC2
+            rdy2 = bool(rdy2)
             if rdy2:
                 word |= _RDY2
             slot.src2 = tag
-            slot.rdy2 = bool(rdy2)
         else:
             word |= _RDY2
             slot.src2 = None
-            slot.rdy2 = True
+            rdy2 = True
         arr = self.array
         arr.write(idx, word)
+        slot.rdy1 = rdy1
+        slot.rdy2 = rdy2
         slot.kind = kind
-        slot.op = op if op is not None else "none"
+        slot.op = op
         slot.size = size
-        slot.imm = imm - 0x100000000 if imm & 0x80000000 else imm
+        slot.imm = imm
         slot.epoch = arr.fault_epoch
         slot.rob = rob
         self.valid[idx] = True
         self.count += 1
-        if src1 is not None and not rdy1:
-            self.waiters.setdefault(src1, []).append(idx)
-        if src2 is not None and not rdy2 and src2 != src1:
-            self.waiters.setdefault(src2, []).append(idx)
+        if rdy1 and rdy2:
+            self.ready.add(idx)
+        else:
+            if not rdy1:
+                self.waiters.setdefault(src1, []).append(idx)
+            if not rdy2 and src2 != src1:
+                self.waiters.setdefault(src2, []).append(idx)
         return idx
 
     def view(self, idx: int, cycle: int = 0) -> IQSlot:
@@ -196,6 +229,8 @@ class IssueQueue:
                     word |= _RDY2
                     slot.rdy2 = True
                 data[idx] = word
+                if slot.rdy1 and slot.rdy2:
+                    self.ready.add(idx)
                 continue
             word = arr.peek(idx)
             changed = False
@@ -218,6 +253,18 @@ class IssueQueue:
         self.slots[idx].rob = None
         self.free.append(idx)
         self.count -= 1
+        self.ready.discard(idx)
+
+    def ready_exact(self) -> bool:
+        """True while :attr:`ready` lists exactly the valid slots whose
+        decoded sources are both ready, and every valid slot is current.
+
+        That holds while the array has no stuck bits and no watch, and
+        no fault has bumped its epoch since the list was last rebuilt.
+        """
+        arr = self.array
+        return not arr.stuck and arr.watch is None and \
+            self.ready_epoch == arr.fault_epoch
 
     def occupied(self):
         """Indices of valid entries (oldest-first by ROB sequence)."""
@@ -265,3 +312,20 @@ class IssueQueue:
             (slot.kind, slot.op, slot.dst, slot.src1, slot.rdy1, slot.src2,
              slot.rdy2, slot.size, slot.imm, slot.epoch, rob) = data
             slot.rob = copy_entry(rob)
+        self._rebuild_ready()
+
+    def _rebuild_ready(self) -> None:
+        """Recompute the ready list from the slots; it is exact only if
+        every valid slot is current (a slot made before a fault is not).
+        """
+        epoch = self.array.fault_epoch
+        self.ready = set()
+        current = True
+        for idx, slot in enumerate(self.slots):
+            if not self.valid[idx]:
+                continue
+            if slot.epoch != epoch:
+                current = False
+            elif slot.rdy1 and slot.rdy2:
+                self.ready.add(idx)
+        self.ready_epoch = epoch if current else -1

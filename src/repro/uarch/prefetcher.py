@@ -49,6 +49,13 @@ class StridePrefetcher:
             packed = arr.read(idx, cycle)
         else:
             packed = arr.data[idx]
+            # The entry already holds [valid | tag | addr | 0 | 0]: the
+            # update below would find delta 0 (out of range for an addr
+            # of 2^32 or more), so stride 0, confidence 0, no target,
+            # and rebuild the word stored, which it does not rewrite.
+            if packed == self._valid_bit | tag << self._tag_shift | \
+                    (addr & 0xFFFFFFFF) << self._last_shift:
+                return None
         new_stride = conf = 0
         target = None
         if packed & self._valid_bit and \

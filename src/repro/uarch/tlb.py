@@ -32,12 +32,19 @@ class TLB:
         self._lut_epoch = 0
 
     def _rebuild_lut(self) -> None:
-        self._lut.clear()
+        """Map each valid VPN to the pfn of its *first* entry.
+
+        The array scan in :meth:`translate` returns the first match, so
+        when a fault makes two entries hold one VPN the table must too.
+        """
+        lut = self._lut
+        lut.clear()
         for i in range(self.entries):
             packed = self.array.peek(i)
             if packed & self._valid_bit:
                 vpn = (packed >> _PFN_BITS) & ((1 << _VPN_BITS) - 1)
-                self._lut[vpn] = packed & ((1 << _PFN_BITS) - 1)
+                if vpn not in lut:
+                    lut[vpn] = packed & ((1 << _PFN_BITS) - 1)
         self._lut_epoch = self.array.fault_epoch
 
     def translate(self, addr: int, cycle: int = 0) -> int | None:
@@ -63,13 +70,12 @@ class TLB:
         vpn = (addr >> PAGE_SHIFT) & ((1 << _VPN_BITS) - 1)
         pfn = (paddr >> PAGE_SHIFT) & ((1 << _PFN_BITS) - 1)
         packed = self._valid_bit | (vpn << _PFN_BITS) | pfn
-        # Evict whatever the FIFO pointer holds from the accelerator.
-        old = self.array.peek(self._next)
-        if old & self._valid_bit:
-            self._lut.pop((old >> _PFN_BITS) & ((1 << _VPN_BITS) - 1), None)
         self.array.write(self._next, packed)
-        self._lut[vpn] = pfn
         self._next = (self._next + 1) % self.entries
+        # Rebuilt rather than patched: the evicted VPN may still be held
+        # by an entry a fault aliased to it, and the new VPN may already
+        # be held by an earlier one.  TLBs miss a few times per run.
+        self._rebuild_lut()
 
     def site(self) -> FaultSite:
         def live(entry: int) -> bool:

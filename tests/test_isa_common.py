@@ -136,10 +136,23 @@ class TestUOp:
         uop = UOp("br", "eq", imm=0x2000)
         assert uop.srcs() == [REG_FLAGS]
 
-    def test_cached_views_are_stable(self):
-        uop = UOp("load", rd=2, rs1=1, imm=4)
-        assert uop.srcs_cached() == uop.srcs_cached() == (1,)
-        assert uop.dst_cached() == 2
+    def test_dispatch_plan_views(self):
+        from repro.sim.base import _dispatch_plan
+        from repro.uarch.issueq import static_fields
+        load = UOp("load", rd=2, rs1=1, imm=4)
+        movt = UOp("alu", "movt", rd=3, rs1=4, rs2=5)  # reads rd too
+        sys_ = UOp("sys")
+        instr = Instr("x", 1, [load, movt, sys_])
+        plan = _dispatch_plan(instr)
+        assert instr.plan is plan
+        # (nuops, need_iq, nloads, nstores, ndst)
+        assert plan[:5] == (3, 2, 1, 0, 2)
+        assert plan[5] == (
+            (load, "load", 1, None, 2, static_fields("load", None, 4, 4)),
+            (movt, "alu", 4, 5, 3, static_fields("alu", "movt", 4, 0)),
+            (sys_, "sys", None, None, None, None))
+        assert Instr("ud", 1, []).plan is None
+        assert _dispatch_plan(Instr("ud", 1, []))[:5] == (1, 0, 0, 0, 0)
 
     def test_deepcopy_shares(self):
         import copy

@@ -1,11 +1,12 @@
 """Unit tests for predictor, BTB, RAS, TLB and prefetcher models."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.memory import PAGE_SIZE
 from repro.uarch.btb import BTB
 from repro.uarch.predictor import TournamentPredictor
-from repro.uarch.prefetcher import StridePrefetcher
+from repro.uarch.prefetcher import _STRIDE_BITS, _TAG_BITS, StridePrefetcher
 from repro.uarch.ras import RAS
 from repro.uarch.tlb import TLB
 
@@ -159,6 +160,20 @@ class TestTLB:
         tlb.array.flip(0, 40)  # the valid bit (20 + 20)
         assert tlb.translate(0x5000) is None
 
+    @staticmethod
+    def _fast_and_slow(tlb, pages):
+        """Translations through the lookup table, then through the scan.
+
+        An armed watch forces the array scan without bumping the fault
+        epoch, so the table is checked exactly as it stands.
+        """
+        addrs = [p * PAGE_SIZE for p in pages]
+        fast = [tlb.translate(a) for a in addrs]
+        tlb.array.watch_entry(0, 0)
+        slow = [tlb.translate(a) for a in addrs]
+        tlb.array.watch = None
+        return fast, slow
+
     def test_lut_consistent_with_slow_path(self):
         tlb = TLB("t", 4)
         for page in (1, 2, 3, 4, 5):
@@ -170,8 +185,123 @@ class TestTLB:
         fast = [tlb.translate(p * PAGE_SIZE) for p in range(1, 6)]
         assert slow == fast
 
+        # A VPN flip aliases entry 0 (page 2) onto entry 1 (page 3):
+        # both paths must take the first matching entry.
+        tlb = TLB("t", 8)
+        tlb.insert(2 * PAGE_SIZE, 2 * PAGE_SIZE)
+        tlb.insert(3 * PAGE_SIZE, 3 * PAGE_SIZE)
+        tlb.array.flip(0, 20)  # VPN bit 0 of entry 0: 2 -> 3
+        fast, slow = self._fast_and_slow(tlb, (2, 3))
+        assert slow == [None, 2 * PAGE_SIZE]
+        assert fast == slow
+
+        # Evicting one of two aliased entries leaves the other mapped.
+        # Both map to frame 7, so only the eviction can set them apart.
+        tlb = TLB("t", 2)
+        tlb.insert(2 * PAGE_SIZE, 7 * PAGE_SIZE)
+        tlb.insert(3 * PAGE_SIZE, 7 * PAGE_SIZE)
+        tlb.array.flip(1, 20)  # VPN bit 0 of entry 1: 3 -> 2
+        fast, slow = self._fast_and_slow(tlb, (2, 3))
+        assert fast == slow == [7 * PAGE_SIZE, None]
+        tlb.insert(5 * PAGE_SIZE, 5 * PAGE_SIZE)  # FIFO evicts entry 0
+        fast, slow = self._fast_and_slow(tlb, (2, 3, 5))
+        assert slow == [7 * PAGE_SIZE, None, 5 * PAGE_SIZE]
+        assert fast == slow
+
+
+def reference_train(pref, key, addr, cycle=0):
+    """The stride-table update without shortcuts, for comparison.
+
+    Every access goes through the array's own ``read`` and ``write``,
+    so stuck bits apply and a watch sees every read and write.
+    """
+    arr = pref.array
+    idx = key % pref.entries
+    tag = (key // pref.entries) % (1 << _TAG_BITS)
+    packed = arr.read(idx, cycle)
+    new_stride = conf = 0
+    target = None
+    if packed & pref._valid_bit and \
+            (packed >> pref._tag_shift) & ((1 << _TAG_BITS) - 1) == tag:
+        last = (packed >> pref._last_shift) & 0xFFFFFFFF
+        stride_raw = (packed >> pref._stride_shift) & \
+            ((1 << _STRIDE_BITS) - 1)
+        stride = stride_raw - (1 << _STRIDE_BITS) \
+            if stride_raw & (1 << (_STRIDE_BITS - 1)) else stride_raw
+        delta = addr - last
+        if -(1 << (_STRIDE_BITS - 1)) <= delta < (1 << (_STRIDE_BITS - 1)):
+            new_stride = delta
+            if delta == stride and stride != 0:
+                conf = min((packed & 3) + 1, 3)
+            if conf >= 2:
+                target = (addr + delta) & 0xFFFFFFFF
+    arr.write(idx, pref._valid_bit | (tag << pref._tag_shift)
+              | ((addr & 0xFFFFFFFF) << pref._last_shift)
+              | ((new_stride & ((1 << _STRIDE_BITS) - 1))
+                 << pref._stride_shift)
+              | conf)
+    return target
+
+
+_ENTRIES = 4
+_BITS = StridePrefetcher("p", entries=_ENTRIES).array.bits_per_entry
+# Few keys and lines, so the stream repeats (key, addr) pairs and takes
+# the no-op path often.  Some addresses are 2^32 or more, including ones
+# whose low 32 bits equal a small line's.
+_PREF_ADDRS = [0x1000, 0x1040, 0x1080, 0x2000,
+               0x1_0000_1000, 0x1_0000_1040]
+_PREF_OPS = st.one_of(
+    st.tuples(st.just("train"), st.integers(0, 3 * _ENTRIES),
+              st.one_of(st.sampled_from(_PREF_ADDRS),
+                        st.integers(0, 2 ** 33))),
+    st.tuples(st.just("flip"), st.integers(0, _ENTRIES - 1),
+              st.integers(0, _BITS - 1)),
+    st.tuples(st.just("stuck"), st.integers(0, _ENTRIES - 1),
+              st.integers(0, _BITS - 1), st.integers(0, 1)),
+    st.tuples(st.just("watch"), st.integers(0, _ENTRIES - 1),
+              st.integers(0, _BITS - 1)),
+    st.tuples(st.just("clear")),
+)
+
 
 class TestPrefetcher:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_PREF_OPS, max_size=80))
+    # Key 4 is entry 0 with tag 1, key 0 entry 0 with tag 0; the second
+    # address only differs from the first above bit 31.
+    @example([("train", 4, 0x1000), ("train", 0, 0x1_0000_1000)])
+    def test_train_matches_reference(self, ops):
+        pref = StridePrefetcher("p", entries=_ENTRIES)
+        ref = StridePrefetcher("p", entries=_ENTRIES)
+        for cycle, (op, *args) in enumerate(ops):
+            if op == "train":
+                assert pref.train(*args, cycle=cycle) == \
+                    reference_train(ref, *args, cycle=cycle)
+            for p in (pref, ref):
+                if op == "flip":
+                    p.array.flip(*args)
+                elif op == "stuck":
+                    p.array.set_stuck(*args, start=cycle)
+                elif op == "watch":
+                    p.array.watch_entry(*args)
+                elif op == "clear":
+                    p.array.clear_faults()
+            assert pref.array.data == ref.array.data
+            assert pref.array.watch_event() == ref.array.watch_event()
+
+    def test_watched_entry_sees_rewrite_of_same_word(self):
+        pref = StridePrefetcher("p", entries=8)
+        pref.train(3, 0x1000)
+        pref.train(3, 0x1040)
+        pref.train(3, 0x1040)   # now [valid | tag | 0x1040 | 0 | 0]
+        word = pref.array.peek(3)
+        assert pref.train(3, 0x1040) is None   # the no-op path
+        pref.array.watch_entry(3, 0)
+        assert pref.train(3, 0x1040) is None
+        assert pref.array.peek(3) == word
+        # The update reads the entry before it rewrites it.
+        assert pref.array.watch_event() == "read"
+
     def test_detects_constant_stride(self):
         pref = StridePrefetcher("p", entries=8)
         key = 42
