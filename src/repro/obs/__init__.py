@@ -20,7 +20,8 @@ stream as a report (see :mod:`repro.obs.summarize`), and the live
 layer watches a *running* study directory: :mod:`repro.obs.live` tails
 journal/event/log streams into a rolling :class:`StudyView` with
 Wilson-interval convergence tracking (:mod:`repro.obs.convergence`),
-:mod:`repro.obs.server` serves it over HTTP (``obs serve``), and
+:mod:`repro.obs.server` serves it over HTTP (``obs serve``, on the
+:mod:`repro.obs.http` server that ``svc serve`` also runs on), and
 :mod:`repro.obs.report` renders it as a self-contained HTML report
 (``obs report``).
 

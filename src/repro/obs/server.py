@@ -19,24 +19,16 @@ The server is read-only over the study directory and single-threaded
 (one asyncio loop), so it can watch a study another process is
 actively running — the underlying :class:`~repro.obs.live.StudyView`
 tailer tolerates torn tails and concurrent writers by construction.
+It is a route table on :class:`~repro.obs.http.HttpServer`, the loop,
+request parsing and ``/events`` stream it shares with ``svc serve``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.http import HttpServer, http_head
 from repro.obs.live import DEFAULT_STALL_AFTER_S, StudyView
-
-#: How often /events re-polls the study directory for new transitions.
-EVENTS_POLL_S = 0.25
-
-#: Quiet-stream liveness: an /events stream with nothing to say emits
-#: a ``{"keepalive": true}`` line this often, so clients can tell an
-#: idle study from a dead connection (and time out when neither rows
-#: nor keepalives arrive).
-KEEPALIVE_S = 15.0
 
 _DASHBOARD = """<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
@@ -106,154 +98,35 @@ tick(); setInterval(tick, 2000);
 """
 
 
-def _http_head(status: str, content_type: str,
-               length: int | None = None) -> bytes:
-    head = [f"HTTP/1.1 {status}",
-            f"Content-Type: {content_type}",
-            "Cache-Control: no-store",
-            "Connection: close"]
-    if length is not None:
-        head.append(f"Content-Length: {length}")
-    return ("\r\n".join(head) + "\r\n\r\n").encode()
-
-
-class StatusServer:
+class StatusServer(HttpServer):
     """Serves one study directory's live view over HTTP."""
 
     def __init__(self, study_dir, host: str = "127.0.0.1",
                  port: int = 8436,
-                 stall_after_s: float = DEFAULT_STALL_AFTER_S,
-                 follow: bool = True):
+                 stall_after_s: float = DEFAULT_STALL_AFTER_S):
+        super().__init__(host, port)
         self.view = StudyView(study_dir, stall_after_s=stall_after_s)
-        self.host = host
-        self.port = port           # updated to the bound port on start
-        self.follow = follow       # /events keeps following a live study
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
 
-    # -- request handling --------------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), timeout=10.0)
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                    asyncio.LimitOverrunError):
-                return
-            request_line = head.split(b"\r\n", 1)[0].decode(
-                "latin-1", errors="replace")
-            parts = request_line.split()
-            if len(parts) < 2 or parts[0] not in ("GET", "HEAD"):
-                writer.write(_http_head("405 Method Not Allowed",
-                                        "text/plain", 0))
-                return
-            url = urlsplit(parts[1])
-            query = parse_qs(url.query)
-            if url.path == "/status":
-                await self._serve_status(writer)
-            elif url.path == "/events":
-                await self._serve_events(writer, query)
-            elif url.path in ("/", "/index.html"):
-                body = _DASHBOARD.encode()
-                writer.write(_http_head("200 OK",
-                                        "text/html; charset=utf-8",
-                                        len(body)))
-                writer.write(body)
-            else:
-                body = b'{"error": "not found"}'
-                writer.write(_http_head("404 Not Found",
-                                        "application/json", len(body)))
-                writer.write(body)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _serve_status(self, writer: asyncio.StreamWriter) -> None:
-        self.view.refresh()
-        body = json.dumps(self.view.snapshot()).encode()
-        writer.write(_http_head("200 OK", "application/json", len(body)))
-        writer.write(body)
-
-    async def _serve_events(self, writer: asyncio.StreamWriter,
-                            query: dict) -> None:
-        try:
-            seq = int(query.get("since", ["0"])[0])
-        except ValueError:
-            seq = 0
-        writer.write(_http_head("200 OK", "application/x-ndjson"))
-        last_line = asyncio.get_event_loop().time()
-        while True:
+    async def route(self, writer, request) -> None:
+        if request.path == "/status":
             self.view.refresh()
-            while seq < len(self.view.transitions):
-                row = self.view.transitions[seq]
-                writer.write((json.dumps(row) + "\n").encode())
-                seq += 1
-                last_line = asyncio.get_event_loop().time()
-            if (asyncio.get_event_loop().time() - last_line
-                    >= KEEPALIVE_S):
-                writer.write(b'{"keepalive": true}\n')
-                last_line = asyncio.get_event_loop().time()
-            await writer.drain()
-            if self.view.complete() or not self.follow:
-                final = {
-                    "name": "study_complete",
-                    "complete": self.view.complete(),
-                    "tally": self.view.tally(),
-                    "injections_done": self.view.injections_done(),
-                    "units": {uid: dict(self.view.units[uid].best_counts())
-                              for uid in self.view.unit_ids},
-                }
-                writer.write((json.dumps(final) + "\n").encode())
-                await writer.drain()
-                return
-            await asyncio.sleep(EVENTS_POLL_S)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> asyncio.AbstractServer:
-        """Bind and start serving; returns the asyncio server."""
-        server = await asyncio.start_server(self._handle, self.host,
-                                            self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        return server
-
-    async def _main(self, on_ready=None) -> None:
-        self._stop = asyncio.Event()
-        server = await self.start()
-        if on_ready is not None:
-            on_ready(self)
-        async with server:
-            await self._stop.wait()
-
-    def serve_forever(self, on_ready=None) -> None:
-        """Blocking entry point (the CLI's ``obs serve``).
-
-        *on_ready* is called with the server once the port is bound —
-        tests and scripts use it to learn an ephemeral port.  Stop from
-        another thread with :meth:`stop`.
-        """
-        self._loop = asyncio.new_event_loop()
-        try:
-            self._loop.run_until_complete(self._main(on_ready))
-        finally:
-            try:
-                self._loop.close()
-            finally:
-                self._loop = None
-
-    def stop(self) -> None:
-        """Thread-safe shutdown of :meth:`serve_forever`."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None:
-            loop.call_soon_threadsafe(stop.set)
+            body = json.dumps(self.view.snapshot()).encode()
+            writer.write(http_head("200 OK", "application/json", len(body)))
+            writer.write(body)
+        elif request.path == "/events":
+            await self.stream_transitions(
+                writer, self.view, request.query,
+                lambda: {} if self.view.complete() else None)
+        elif request.path in ("/", "/index.html"):
+            body = _DASHBOARD.encode()
+            writer.write(http_head("200 OK", "text/html; charset=utf-8",
+                                   len(body)))
+            writer.write(body)
+        else:
+            body = b'{"error": "not found"}'
+            writer.write(http_head("404 Not Found", "application/json",
+                                   len(body)))
+            writer.write(body)
 
 
 def serve_study(study_dir, host: str = "127.0.0.1", port: int = 8436,
@@ -263,4 +136,4 @@ def serve_study(study_dir, host: str = "127.0.0.1", port: int = 8436,
                  **kwargs).serve_forever(on_ready)
 
 
-__all__ = ["StatusServer", "serve_study", "EVENTS_POLL_S", "KEEPALIVE_S"]
+__all__ = ["StatusServer", "serve_study"]

@@ -5,9 +5,12 @@ workstations; this package is the layer that makes such a study
 operable: a :class:`StudySpec` expands into an addressable
 :class:`CampaignPlan` (setups × benchmarks × structures × fault
 models), a write-ahead journal makes every unit state transition
-durable, and the :class:`Scheduler` leases units to worker processes
-with per-unit wall-clock timeouts, bounded exponential-backoff
-retries, and poison-unit quarantine.  Kill it at any point — SIGTERM,
+durable, and :class:`StudyRun` holds the one unit policy — write-ahead
+leases, bounded exponential-backoff retries, poison-unit quarantine
+and lossless replay of a prior journal.  Two loops run it: the
+:class:`Scheduler` leases one study's units to local worker processes
+with per-unit wall-clock timeouts, and :mod:`repro.svc` multiplexes
+many studies onto one fleet.  Kill a study at any point — SIGTERM,
 SIGKILL, power loss — and ``sched resume`` continues from the journal
 without re-running completed units or re-injecting completed masks.
 ``--shard i/n`` splits one study across hosts deterministically, and
@@ -22,8 +25,9 @@ from repro.sched.journal import (DONE, FAILED, LEASED, PENDING, QUARANTINED,
 from repro.sched.plan import (CampaignPlan, StudySpec, WorkUnit, shard_of,
                               structure_names, study_spec)
 from repro.sched.pool import Lease, LeasePool
-from repro.sched.scheduler import (CellOutcome, Scheduler, StudyResult,
-                                   merge_studies, run_study, study_status)
+from repro.sched.scheduler import (Scheduler, StudyResult, merge_studies,
+                                   run_study, study_status)
+from repro.sched.study import CellOutcome, GoldenCache, StudyRun
 from repro.sched.worker import run_unit
 
 __all__ = [
@@ -32,6 +36,6 @@ __all__ = [
     "Journal", "JournalState", "load_journal",
     "PENDING", "LEASED", "DONE", "FAILED", "QUARANTINED",
     "Lease", "LeasePool",
-    "Scheduler", "StudyResult", "CellOutcome",
+    "Scheduler", "StudyResult", "CellOutcome", "StudyRun", "GoldenCache",
     "run_study", "run_unit", "study_status", "merge_studies",
 ]

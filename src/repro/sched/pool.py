@@ -5,7 +5,8 @@ process lifecycle of every lease running in them: spawn a
 :func:`~repro.sched.worker.unit_entry` process with its payload, poll
 the result pipe, detect worker death, and enforce the per-lease
 wall-clock deadline.  It makes no policy decisions — journaling,
-retries, backoff and quarantine belong to its callers:
+retries, backoff and quarantine belong to
+:class:`~repro.sched.study.StudyRun`, which both of its callers use:
 
 * :class:`~repro.sched.scheduler.Scheduler` drives one study's plan
   through a pool;
@@ -13,8 +14,9 @@ retries, backoff and quarantine belong to its callers:
   concurrent studies onto one shared pool (the campaign-as-a-service
   write side).
 
-A lease carries an opaque ``meta`` slot so multi-study callers can
-route a completion back to the study that owns it.
+A lease carries an opaque ``meta`` slot so a completion finds its
+owner: the ``StudyRun`` that launched it, a remote agent's wire lease,
+or an audit ticket.
 """
 
 from __future__ import annotations

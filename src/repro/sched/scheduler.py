@@ -1,9 +1,11 @@
 """Durable campaign scheduler: lease, retry, quarantine, resume, merge.
 
 The :class:`Scheduler` drives a :class:`~repro.sched.plan.CampaignPlan`
-to completion with local worker processes.  Every unit state transition
-is journaled (write-ahead, fsync'd) before the scheduler acts on it, so
-a study killed at any point — including SIGKILL — resumes losslessly:
+to completion with local worker processes: a lease loop over one
+:class:`~repro.sched.pool.LeasePool`, with the unit policy of
+:class:`~repro.sched.study.StudyRun`.  Every unit state transition is
+journaled (write-ahead, fsync'd) before the scheduler acts on it, so a
+study killed at any point — including SIGKILL — resumes losslessly:
 
 * completed units are never re-run (their classification rides in the
   journal's ``done`` record);
@@ -11,16 +13,16 @@ a study killed at any point — including SIGKILL — resumes losslessly:
   injects only the masks it is missing (``set_id``-keyed idempotence);
 * stale leases left by a dead scheduler count as spent attempts.
 
-Failure policy: a unit that fails (worker exception, worker death, or
-per-unit wall-clock timeout) is retried with exponential backoff up to
-``max_retries`` times; after that it is quarantined as a poison unit
-and the study completes without it (reported, never silently dropped).
+A unit that fails (worker exception, worker death, or per-unit
+wall-clock timeout) is retried with exponential backoff, then
+quarantined as a poison unit: reported, never silently dropped.
 
 Sharding: ``plan.shard(i, n)`` restricts a host to the units whose id
-hashes to shard *i*; shards journal independently and
-:func:`merge_studies` checks spec compatibility and coverage before
-folding the per-unit classifications together.  Per-unit logs files
-are named by unit id, so shard output directories merge cleanly.
+hashes to shard *i*; shards journal independently, a resume must name
+the shard its journal holds, and :func:`merge_studies` checks spec
+compatibility and coverage before folding the per-unit classifications
+together.  Per-unit logs files are named by unit id, so shard output
+directories merge cleanly.
 
 Observability: unit-lifecycle trace events (``study_start``,
 ``unit_leased``, ``unit_done``, ``unit_failed``, ``unit_quarantined``,
@@ -40,27 +42,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import JSONLSink, NULL_TRACER, TraceEvent, Tracer
-from repro.sched.journal import (DONE, FAILED, LEASED, PENDING, QUARANTINED,
-                                 Journal, JournalState, load_journal)
-from repro.sched.plan import CampaignPlan, StudySpec, WorkUnit
-from repro.sched.pool import CRASHED, RESULT, LeasePool
-
-JOURNAL_NAME = "journal.jsonl"
-EVENTS_NAME = "events.jsonl"
-
-
-@dataclass
-class CellOutcome:
-    """Terminal (or last-known) state of one unit after a run."""
-
-    unit_id: str
-    state: str
-    counts: dict | None = None
-    injections: int = 0
-    early_stops: int = 0
-    attempts: int = 0
-    error: str | None = None
+from repro.sched.journal import DONE, FAILED, QUARANTINED, load_journal
+from repro.sched.plan import CampaignPlan, StudySpec
+from repro.sched.pool import LeasePool
+# EVENTS_NAME and CellOutcome moved to repro.sched.study; importing them
+# here keeps ``from repro.sched.scheduler import ...`` working.
+from repro.sched.study import (EVENTS_NAME, JOURNAL_NAME, CellOutcome,
+                               StudyRun, merge_counts)
 
 
 @dataclass
@@ -85,11 +73,7 @@ class StudyResult:
 
     def totals(self) -> dict:
         """Merged class -> count over all completed units."""
-        totals: dict = {}
-        for counts in self.classifications().values():
-            for cls, n in counts.items():
-                totals[cls] = totals.get(cls, 0) + n
-        return totals
+        return merge_counts(self.classifications().values())
 
     def quarantined(self) -> list:
         return sorted(uid for uid, c in self.cells.items()
@@ -102,8 +86,7 @@ class Scheduler:
     def __init__(self, plan: CampaignPlan, study_dir,
                  workers: int = 2, unit_timeout_s: float | None = None,
                  max_retries: int = 2, backoff_s: float = 0.5,
-                 fsync: bool = True, tracer=None, metrics=None,
-                 events: bool = True, progress=None,
+                 fsync: bool = True, progress=None,
                  heartbeat_s: float | None = None):
         self.plan = plan
         self.study_dir = Path(study_dir)
@@ -113,18 +96,9 @@ class Scheduler:
         self.backoff_s = backoff_s
         self.fsync = fsync
         self.heartbeat_s = heartbeat_s
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.progress = progress
-        self._own_tracer = None
-        if tracer is None and events:
-            tracer = self._own_tracer = Tracer(
-                JSONLSink(self.study_dir / EVENTS_NAME))
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._cancelled = False
-        self._paused = False
-        self._draining = False
-
-    # -- construction from an existing study ------------------------------
 
     @classmethod
     def resume(cls, study_dir, **overrides) -> "Scheduler":
@@ -145,94 +119,24 @@ class Scheduler:
         """Graceful shutdown: terminate leases, leave the journal durable."""
         self._cancelled = True
 
-    def pause(self) -> None:
-        """Stop granting new leases; keep polling the ones in flight.
-
-        Thread-safe programmatic control for embedding callers (the
-        service layer, tests): a paused scheduler holds its queue until
-        :meth:`unpause`, :meth:`drain` or :meth:`cancel`.
-        """
-        self._paused = True
-
-    def unpause(self) -> None:
-        """Resume granting leases after :meth:`pause`."""
-        self._paused = False
-
-    def drain(self) -> None:
-        """Finish the leases in flight, then return without new work.
-
-        Unlike :meth:`cancel`, nothing is terminated: running units
-        complete and journal normally, queued units stay pending (the
-        run returns ``interrupted`` if any remain) and a later
-        ``resume`` picks them up.
-        """
-        self._draining = True
-
     # -- the run loop ------------------------------------------------------
 
     def run(self, resume: bool = False) -> StudyResult:
-        self.study_dir.mkdir(parents=True, exist_ok=True)
-        journal_path = self.study_dir / JOURNAL_NAME
-        prior = None
-        if journal_path.exists() and journal_path.stat().st_size > 0:
-            if not resume:
-                raise FileExistsError(
-                    f"{journal_path} already exists — resume the study "
-                    f"(sched resume) or pick a fresh directory")
-            prior = load_journal(journal_path)
-            if prior.spec_hash != self.plan.spec.spec_hash:
-                raise ValueError(
-                    f"journal {journal_path} belongs to spec "
-                    f"{prior.spec_hash}, not {self.plan.spec.spec_hash}")
-
-        journal = Journal(journal_path, fsync=self.fsync)
+        run = StudyRun(self.plan, self.study_dir, metrics=self.metrics,
+                       resume=resume, fsync=self.fsync,
+                       max_retries=self.max_retries,
+                       backoff_s=self.backoff_s)
         try:
-            if prior is None:
-                journal.write_header(self.plan.spec.to_dict(),
-                                     self.plan.unit_ids(),
-                                     shard=self.plan.shard_id)
-            return self._loop(journal, prior)
+            return self._loop(run)
         finally:
-            journal.close()
-            if self._own_tracer is not None:
-                self._own_tracer.close()
-                self._own_tracer = None
+            run.close()
 
-    def _loop(self, journal: Journal,
-              prior: JournalState | None) -> StudyResult:
+    def _loop(self, run: StudyRun) -> StudyResult:
         t0 = time.monotonic()
-        result = StudyResult(spec=self.plan.spec,
-                             shard=self.plan.shard_id)
-        attempts: dict[str, int] = {}
-        queue: list[tuple[float, WorkUnit]] = []     # (eligible_at, unit)
-        for unit in self.plan:
-            uid = unit.unit_id
-            state = prior.state_of(uid) if prior is not None else PENDING
-            attempts[uid] = prior.attempts.get(uid, 0) if prior else 0
-            if state == DONE:
-                row = prior.results[uid]
-                result.cells[uid] = CellOutcome(
-                    uid, DONE, counts=row.get("counts"),
-                    injections=row.get("injections", 0),
-                    early_stops=row.get("early_stops", 0),
-                    attempts=attempts[uid])
-            elif state == QUARANTINED:
-                result.cells[uid] = CellOutcome(
-                    uid, QUARANTINED, attempts=attempts[uid],
-                    error=prior.last[uid].get("detail"))
-            else:
-                # PENDING, stale LEASED, or FAILED mid-retry: (re)queue.
-                queue.append((0.0, unit))
-        queue.sort(key=lambda item: item[0])
-
+        # (eligible_at, unit): pending, stale-leased and mid-retry units.
+        queue = [(0.0, unit) for unit in run.pending_units()]
         pool = LeasePool(self.workers)
-        golden_blobs: dict[tuple, bytes] = {}
-        self.tracer.emit("study_start", units=len(self.plan),
-                         pending=len(queue), workers=self.workers,
-                         shard=list(self.plan.shard_id)
-                         if self.plan.shard_id else None,
-                         spec_hash=self.plan.spec.spec_hash,
-                         resumed=prior is not None)
+        run.start(workers=self.workers)
 
         def queue_depth() -> None:
             self.metrics.gauge("sched.queue_depth").set(
@@ -246,165 +150,75 @@ class Scheduler:
 
         def heartbeat() -> None:
             nonlocal last_beat
-            if self.heartbeat_s is None or not self.tracer.enabled:
+            if self.heartbeat_s is None:
                 return
             now_mono = time.monotonic()
             if now_mono - last_beat < self.heartbeat_s:
                 return
             last_beat = now_mono
-            done_n = sum(1 for c in result.cells.values()
-                         if c.state == DONE)
-            self.tracer.emit(
+            run.tracer.emit(
                 "heartbeat", workers=self.workers,
                 running=[{"unit": lease.unit.unit_id,
                           "attempt": lease.attempt,
                           "age_s": lease.age_s(now_mono)}
                          for lease in pool.running],
-                queued=len(queue), done=done_n, units=len(self.plan))
-
-        def finish_failure(lease, reason: str, detail: str) -> None:
-            uid = lease.unit.unit_id
-            journal.record(uid, FAILED, attempt=lease.attempt,
-                           reason=reason, detail=detail)
-            self.tracer.emit("unit_failed", unit=uid,
-                             attempt=lease.attempt, reason=reason)
-            self.metrics.counter("sched.units_failed").inc()
-            if reason == "timeout":
-                self.metrics.counter("sched.timeouts").inc()
-            if lease.attempt > self.max_retries:
-                journal.record(uid, QUARANTINED, attempts=lease.attempt,
-                               detail=detail)
-                self.tracer.emit("unit_quarantined", unit=uid,
-                                 attempts=lease.attempt)
-                self.metrics.counter("sched.quarantined").inc()
-                result.cells[uid] = CellOutcome(
-                    uid, QUARANTINED, attempts=lease.attempt, error=detail)
-                self._notify(uid, QUARANTINED, result)
-            else:
-                self.metrics.counter("sched.retries").inc()
-                delay = self.backoff_s * (2 ** (lease.attempt - 1))
-                queue.append((time.monotonic() + delay, lease.unit))
-                self._notify(uid, FAILED, result)
-
-        def finish_success(lease, res: dict) -> None:
-            uid = lease.unit.unit_id
-            journal.record(uid, DONE, attempt=lease.attempt,
-                           counts=res["counts"],
-                           injections=res["injections"],
-                           early_stops=res["early_stops"],
-                           pruned=res.get("pruned", 0),
-                           resumed=res["resumed"], wall_s=res["wall_s"])
-            blob = res.get("golden_blob")
-            if blob is not None:
-                golden_blobs[self._pair(lease.unit)] = blob
-            if self.tracer.enabled:
-                for ev in res["events"]:
-                    self.tracer.sink.write(TraceEvent.from_dict(ev))
-            self.metrics.merge(MetricsRegistry.from_dict(res["metrics"]))
-            self.metrics.counter("sched.units_done").inc()
-            self.metrics.histogram("time.unit_s").observe(res["wall_s"])
-            self.tracer.emit("unit_done", unit=uid, attempt=lease.attempt,
-                             injections=res["injections"],
-                             pruned=res.get("pruned", 0),
-                             resumed=res["resumed"], wall_s=res["wall_s"])
-            result.cells[uid] = CellOutcome(
-                uid, DONE, counts=res["counts"],
-                injections=res["injections"],
-                early_stops=res["early_stops"], attempts=lease.attempt)
-            self._notify(uid, DONE, result)
+                queued=len(queue), done=run.done_count(),
+                units=len(self.plan))
 
         while queue or pool.running:
             if self._cancelled:
                 pool.terminate_all()
-                result.interrupted = True
-                break
-            if self._draining and not pool.running:
-                result.interrupted = bool(queue)
                 break
 
             # Launch leases while there are slots and eligible units.
             now = time.monotonic()
-            while (pool.free_slots > 0 and
-                   not (self._paused or self._draining)):
+            while pool.free_slots > 0:
                 idx = next((i for i, (at, _) in enumerate(queue)
                             if at <= now), None)
                 if idx is None:
                     break
-                _, unit = queue.pop(idx)
-                uid = unit.unit_id
-                attempts[uid] += 1
-                attempt = attempts[uid]
-                # Write-ahead: the lease is durable before work starts.
-                journal.record(uid, LEASED, attempt=attempt)
-                self.tracer.emit("unit_leased", unit=uid, attempt=attempt)
-                pair = self._pair(unit)
-                blob = golden_blobs.get(pair)
-                pool.launch(unit, self.plan.spec, attempt=attempt,
-                            logs_path=self._logs_path(unit),
-                            masks_path=self._masks_path(unit),
-                            golden_blob=blob, fsync=self.fsync,
-                            want_blob=blob is None,
-                            deadline_s=self.unit_timeout_s)
+                run.launch(pool, queue.pop(idx)[1], self.unit_timeout_s)
                 queue_depth()
 
             # Results first, then deaths, then timeouts (pool order).
             for lease, kind, payload in pool.poll():
-                if kind == RESULT:
-                    if payload.get("ok"):
-                        finish_success(lease, payload)
-                    else:
-                        finish_failure(lease, "error",
-                                       payload.get("error", "worker error"))
-                else:
-                    finish_failure(lease,
-                                   "crashed" if kind == CRASHED
-                                   else "timeout", payload)
+                uid = lease.unit.unit_id
+                delay = run.settle(lease, kind, payload)
+                if delay is not None:
+                    queue.append((time.monotonic() + delay, lease.unit))
+                self._notify(uid, FAILED if delay is not None
+                             else run.cells[uid].state, run)
                 queue_depth()
 
             heartbeat()
             if queue or pool.running:
                 time.sleep(0.01)
 
-        result.wall_s = time.monotonic() - t0
-        tally = {DONE: 0, QUARANTINED: 0}
-        for cell in result.cells.values():
-            tally[cell.state] = tally.get(cell.state, 0) + 1
-        self.tracer.emit("study_end", done=tally.get(DONE, 0),
-                         quarantined=tally.get(QUARANTINED, 0),
-                         interrupted=result.interrupted,
-                         wall_s=result.wall_s)
-        return result
+        wall_s = time.monotonic() - t0
+        run.finish(wall_s)
+        return StudyResult(spec=self.plan.spec, shard=self.plan.shard_id,
+                           cells=dict(run.cells),
+                           interrupted=not run.complete, wall_s=wall_s)
 
-    # -- layout helpers ----------------------------------------------------
-
-    @staticmethod
-    def _pair(unit: WorkUnit) -> tuple:
-        return (unit.setup, unit.benchmark)
-
-    def _logs_path(self, unit: WorkUnit) -> Path:
-        return self.study_dir / "logs" / f"{unit.file_id}.jsonl"
-
-    def _masks_path(self, unit: WorkUnit) -> Path:
-        return self.study_dir / "masks" / f"{unit.file_id}.jsonl"
-
-    def _notify(self, uid: str, state: str, result: StudyResult) -> None:
+    def _notify(self, uid: str, state: str, run: StudyRun) -> None:
         if self.progress is not None:
-            self.progress(uid, state,
-                          sum(1 for c in result.cells.values()
-                              if c.state == DONE),
-                          len(self.plan))
+            self.progress(uid, state, run.done_count(), len(self.plan))
 
 
 def run_study(spec: StudySpec, study_dir, shard=None,
               resume: bool = False, **kwargs) -> StudyResult:
-    """One-call study: expand *spec*, (optionally) shard, run to done."""
+    """One-call study: expand *spec*, (optionally) shard, run to done.
+
+    With *resume*, the directory's journal must exist and belong to
+    *spec* and *shard*.
+    """
     plan = CampaignPlan.from_spec(spec)
     if shard is not None:
         plan = plan.shard(*shard)
-    if resume:
-        sched = Scheduler.resume(study_dir, **kwargs)
-        return sched.run(resume=True)
-    return Scheduler(plan, study_dir, **kwargs).run()
+    journal = Path(study_dir) / JOURNAL_NAME
+    if resume and not journal.exists():
+        raise FileNotFoundError(f"no study journal at {journal}")
+    return Scheduler(plan, study_dir, **kwargs).run(resume=resume)
 
 
 # -- status / merge --------------------------------------------------------
@@ -470,10 +284,6 @@ def merge_studies(study_dirs) -> dict:
             if st.state_of(uid) == QUARANTINED:
                 quarantined.add(uid)
     missing = [uid for uid in grid if uid not in units]
-    totals: dict = {}
-    for u in units.values():
-        for cls, n in u["counts"].items():
-            totals[cls] = totals.get(cls, 0) + n
     return {
         "sources": len(states),
         "spec_hash": spec_hash,
@@ -483,5 +293,5 @@ def merge_studies(study_dirs) -> dict:
         "quarantined": sorted(quarantined),
         "units": {uid: units[uid]["counts"] for uid in sorted(units)},
         "injections": sum(u["injections"] for u in units.values()),
-        "totals": totals,
+        "totals": merge_counts(u["counts"] for u in units.values()),
     }

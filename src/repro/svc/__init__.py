@@ -1,15 +1,17 @@
 """repro.svc — campaign-as-a-service above the scheduler stack.
 
 The paper's study model is one operator, one study, one scheduler.
-This package turns that into a long-lived multi-tenant service: a
-stdlib-asyncio HTTP front end (:mod:`repro.svc.api`) accepts
+This package turns that into a long-lived multi-tenant service: an
+HTTP front end (:mod:`repro.svc.api`, a route table on the
+:mod:`repro.obs.http` server that ``obs serve`` also runs on) accepts
 strictly-validated :class:`~repro.sched.plan.StudySpec` submissions,
 a weighted deficit-round-robin queue (:mod:`repro.svc.queue`) shares
 one worker fleet fairly across tenants under per-tenant quotas, the
-fleet (:mod:`repro.svc.fleet`) reuses sched's lease/retry/quarantine
-semantics and caches compressed golden payloads *across* studies, and
-a durable service journal (:mod:`repro.svc.state`) makes the whole
-service kill-and-restart safe — no unit lost, no unit re-run.
+fleet (:mod:`repro.svc.fleet`) settles every unit through the same
+:class:`~repro.sched.study.StudyRun` policy as ``sched run`` and
+caches compressed golden payloads *across* studies, and a durable
+service journal (:mod:`repro.svc.state`) makes the whole service
+kill-and-restart safe — no unit lost, no unit re-run.
 
 Every study the service runs uses the unchanged :mod:`repro.sched`
 on-disk layout, so ``obs serve``, ``obs report`` and ``sched status``
@@ -35,13 +37,12 @@ serve | submit | list | cancel | worker | fleet | gc`` and
 ``python -m repro.tools fsck`` (see docs/service.md).
 """
 
-from repro.svc.api import ServiceServer, serve_service
+from repro.svc.api import ServiceServer
 from repro.svc.attest import (Attestor, ChallengePending, RejectedComplete,
                               WorkerDistrusted, WorkerScorecard)
 from repro.svc.chaos import NULL_CHAOS, TransportChaos
-from repro.svc.fleet import (Completion, RemoteLease, RemoteWorker,
-                             StaleFence, StudyRun, UnknownWorker,
-                             WorkerFleet)
+from repro.svc.fleet import (RemoteLease, RemoteWorker, ServiceRun,
+                             StaleFence, UnknownWorker, WorkerFleet)
 from repro.svc.fsck import fsck_path, fsck_service, fsck_study
 from repro.svc.queue import FairQueue, QuotaExceeded, TenantPolicy
 from repro.svc.remote import WorkerAgent
@@ -51,9 +52,9 @@ from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING, STUDY_DONE,
                              load_service, study_id_for)
 
 __all__ = [
-    "CampaignService", "ServiceServer", "serve_service",
+    "CampaignService", "ServiceServer",
     "FairQueue", "TenantPolicy", "QuotaExceeded",
-    "WorkerFleet", "StudyRun", "Completion",
+    "WorkerFleet", "ServiceRun",
     "RemoteWorker", "RemoteLease", "StaleFence", "UnknownWorker",
     "WorkerAgent", "TransportChaos", "NULL_CHAOS", "collect_garbage",
     "ServiceJournal", "ServiceState", "StudyRecord", "load_service",

@@ -1,34 +1,26 @@
-"""Persistent worker fleet — sched's lease semantics, many studies at once.
+"""Persistent worker fleet — many studies, one pool, remote workers.
 
-:class:`StudyRun` is one admitted study's durable run state: its
-write-ahead unit journal and trace-event stream (the unchanged
-:mod:`repro.sched` on-disk layout, so ``obs serve``, ``obs report`` and
-``sched status`` all work on a service study directory verbatim),
-replayed on open so a restarted service resumes mid-study.
+Each admitted study is a :class:`ServiceRun`: a
+:class:`~repro.sched.study.StudyRun` (the unchanged :mod:`repro.sched`
+journal and event layout, so ``obs serve``, ``obs report`` and
+``sched status`` all work on a service study directory verbatim) plus
+the study id, the tenant and the attestation bookkeeping.  The unit
+policy — write-ahead lease records, retry with exponential backoff,
+poison-unit quarantine — is ``StudyRun``'s, the same code the batch
+:class:`~repro.sched.scheduler.Scheduler` runs.
 
-:class:`WorkerFleet` owns one :class:`~repro.sched.pool.LeasePool`
-shared by every study and re-applies the scheduler's unit policy —
-write-ahead lease records, retry with exponential backoff, poison-unit
-quarantine — per study, routing each completion back through the
-lease's ``meta`` slot.  It does *not* decide which unit runs next;
+:class:`WorkerFleet` keeps only what a shared fleet adds: one
+:class:`~repro.sched.pool.LeasePool` for every study, routing each
+completion back through the lease's ``meta`` slot; remote leases; one
+cross-study :class:`~repro.sched.study.GoldenCache`, so the second
+tenant to study ``sha`` on ``MaFIN-x86`` pays zero golden re-runs; and
+the attestation hooks.  It does *not* decide which unit runs next;
 that is the fair queue's job (:mod:`repro.svc.queue`).
 
-The fleet also generalizes the scheduler's golden-blob cache across
-studies: compressed golden payloads are keyed by everything that
-determines them — (setup, benchmark, scaled, scale, n_checkpoints) —
-rather than by study, so the second tenant to study ``sha`` on
-``MaFIN-x86`` pays zero golden re-runs.  A blob recorded with an
-access trace (built for a pruning study) also serves non-pruning
-studies; the reverse falls back to a fresh traced run, exactly like
-the worker's own stale-blob path.  Blobs are additionally
-content-addressed (sha256) so remote workers can fetch and disk-cache
-them by digest over ``GET /blobs/{digest}``.
-
-Remote leases.  Besides its local :class:`~repro.sched.pool.LeasePool`
-slots, the fleet leases units to *remote workers*
-(:mod:`repro.svc.remote` agents connected over HTTP).  Both kinds of
-lease draw from the same fair queue and flow through the same
-``_success``/``_failure`` policy — retries, backoff and quarantine are
+Remote leases.  Besides its local slots, the fleet leases units to
+*remote workers* (:mod:`repro.svc.remote` agents connected over HTTP).
+Both kinds of lease draw from the same fair queue and settle through
+the same ``StudyRun`` policy — retries, backoff and quarantine are
 identical whether a unit ran in a forked process or across the
 network.  What the network adds is uncertainty, answered with:
 
@@ -49,37 +41,26 @@ network.  What the network adds is uncertainty, answered with:
 from __future__ import annotations
 
 import base64
-import hashlib
 import time
 import zlib
 
 from repro.core.ioutil import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import JSONLSink, TraceEvent, Tracer
-from repro.prune import PRUNE_OFF
-from repro.sched.journal import (DONE, FAILED, LEASED, QUARANTINED,
-                                 Journal, load_journal)
+from repro.obs.trace import JSONLSink, Tracer
+from repro.sched.journal import DONE, Journal, JournalState
 from repro.sched.plan import CampaignPlan, StudySpec, WorkUnit
-from repro.sched.pool import CRASHED, LeasePool, RESULT
-from repro.sched.scheduler import EVENTS_NAME, JOURNAL_NAME, CellOutcome
+from repro.sched.pool import LeasePool
+from repro.sched.study import EVENTS_NAME, GoldenCache, StudyRun
 from repro.svc.attest import CHALLENGE_GRACE_S, RejectedComplete
 
 
-class StudyRun:
-    """One study's plan, journal and event stream inside the service."""
+class ServiceRun(StudyRun):
+    """One admitted study: a :class:`StudyRun` with its id and tenant."""
 
     def __init__(self, study_id: str, tenant: str, spec: StudySpec,
-                 study_dir, fsync: bool = True):
-        from pathlib import Path
+                 study_dir, **kwargs):
         self.study_id = study_id
         self.tenant = tenant
-        self.spec = spec
-        self.study_dir = Path(study_dir)
-        self.plan = CampaignPlan.from_spec(spec)
-        self.study_dir.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
-        self.attempts: dict[str, int] = {}
-        self.cells: dict[str, CellOutcome] = {}
         # Attestation bookkeeping: which DONE units came from which
         # remote worker, and which of those an audit has re-proven.
         # ``remote_done`` replays from the journal's worker-tagged done
@@ -87,171 +68,23 @@ class StudyRun:
         # restart voids conservatively if a worker is later distrusted.
         self.remote_done: dict[str, str] = {}
         self.audited_ok: set[str] = set()
-        journal_path = self.study_dir / JOURNAL_NAME
-        prior = None
-        if journal_path.exists() and journal_path.stat().st_size > 0:
-            prior = load_journal(journal_path)
-            if prior.spec_hash != spec.spec_hash:
-                raise ValueError(
-                    f"journal {journal_path} belongs to spec "
-                    f"{prior.spec_hash}, not {spec.spec_hash}")
-        self.journal = Journal(journal_path, fsync=fsync)
-        self.tracer = Tracer(JSONLSink(self.study_dir / EVENTS_NAME))
-        if prior is None:
-            self.journal.write_header(spec.to_dict(), self.plan.unit_ids())
-        else:
-            for unit in self.plan:
-                uid = unit.unit_id
-                self.attempts[uid] = prior.attempts.get(uid, 0)
-                state = prior.state_of(uid)
-                if state == DONE:
-                    row = prior.results[uid]
-                    self.cells[uid] = CellOutcome(
-                        uid, DONE, counts=row.get("counts"),
-                        injections=row.get("injections", 0),
-                        early_stops=row.get("early_stops", 0),
-                        attempts=self.attempts[uid])
-                    if row.get("worker"):
-                        self.remote_done[uid] = row["worker"]
-                elif state == QUARANTINED:
-                    self.cells[uid] = CellOutcome(
-                        uid, QUARANTINED, attempts=self.attempts[uid],
-                        error=prior.last[uid].get("detail"))
-        self.tracer.emit("study_start", units=len(self.plan),
-                         pending=len(self.pending_units()),
-                         shard=None, spec_hash=spec.spec_hash,
-                         resumed=prior is not None)
+        super().__init__(CampaignPlan.from_spec(spec), study_dir,
+                         resume=True, **kwargs)
+        self.start()
 
-    def pending_units(self) -> list[WorkUnit]:
-        """Units with no terminal outcome yet (includes stale leases)."""
-        return [u for u in self.plan if u.unit_id not in self.cells]
-
-    @property
-    def complete(self) -> bool:
-        return len(self.cells) == len(self.plan)
-
-    def done_count(self) -> int:
-        return sum(1 for c in self.cells.values() if c.state == DONE)
-
-    def tally(self) -> dict:
-        done = self.done_count()
-        quarantined = len(self.cells) - done
-        return {"units": len(self.plan), "done": done,
-                "quarantined": quarantined,
-                "pending": len(self.plan) - len(self.cells)}
-
-    def totals(self) -> dict:
-        totals: dict = {}
-        for cell in self.cells.values():
-            for cls, n in (cell.counts or {}).items():
-                totals[cls] = totals.get(cls, 0) + n
-        return totals
-
-    def injections_done(self) -> int:
-        return sum(c.injections for c in self.cells.values())
-
-    def logs_path(self, unit: WorkUnit):
-        return self.study_dir / "logs" / f"{unit.file_id}.jsonl"
-
-    def masks_path(self, unit: WorkUnit):
-        return self.study_dir / "masks" / f"{unit.file_id}.jsonl"
-
-    def finish(self) -> None:
-        """Emit the terminal study_end event (journal stays append-open)."""
-        self.tracer.emit("study_end", done=self.done_count(),
-                         quarantined=sum(1 for c in self.cells.values()
-                                         if c.state == QUARANTINED),
-                         interrupted=not self.complete, wall_s=0.0)
-
-    def close(self) -> None:
-        self.journal.close()
-        self.tracer.close()
+    def _replay(self, prior: JournalState) -> None:
+        super()._replay(prior)
+        for uid, cell in self.cells.items():
+            if cell.state == DONE and prior.results[uid].get("worker"):
+                self.remote_done[uid] = prior.results[uid]["worker"]
 
     def reopen(self) -> None:
         """Reopen journal/tracer after a finished study is voided back
         to running (an audit distrusted a worker that touched it)."""
         if self.journal._fh.closed:
             self.journal = Journal(self.journal.path, fsync=self.fsync)
-        if not self.tracer.enabled or \
-                getattr(self.tracer.sink, "_fh", None) is None or \
-                self.tracer.sink._fh.closed:
+        if self.tracer.sink._fh.closed:
             self.tracer = Tracer(JSONLSink(self.study_dir / EVENTS_NAME))
-
-
-class _GoldenCache:
-    """Cross-study, content-addressed cache of compressed golden payloads.
-
-    Entries are keyed by what determines the golden run *and* stored by
-    sha256 digest, so remote workers fetch blobs over
-    ``GET /blobs/{digest}`` and cache them on their own disk — the
-    digest is self-verifying, so a blob fetched once never needs
-    re-fetching or trust.
-    """
-
-    def __init__(self):
-        self._blobs: dict[tuple, tuple[str, bool]] = {}  # key -> (digest, traced)
-        self._by_digest: dict[str, bytes] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(unit: WorkUnit, spec: StudySpec) -> tuple:
-        return (unit.setup, unit.benchmark, spec.scaled, spec.scale,
-                spec.n_checkpoints)
-
-    def lookup_meta(self, unit: WorkUnit,
-                    spec: StudySpec) -> tuple[bytes, str] | None:
-        """``(blob, digest)`` serving this unit, or None (counts a miss)."""
-        entry = self._blobs.get(self.key(unit, spec))
-        needs_trace = spec.prune != PRUNE_OFF
-        if entry is not None and (entry[1] or not needs_trace):
-            self.hits += 1
-            digest = entry[0]
-            return self._by_digest[digest], digest
-        self.misses += 1
-        return None
-
-    def lookup(self, unit: WorkUnit, spec: StudySpec) -> bytes | None:
-        meta = self.lookup_meta(unit, spec)
-        return None if meta is None else meta[0]
-
-    def blob_by_digest(self, digest: str) -> bytes | None:
-        """Raw blob bytes for ``/blobs/{digest}``, or None."""
-        return self._by_digest.get(digest)
-
-    def store(self, unit: WorkUnit, spec: StudySpec, blob: bytes) -> str:
-        """Record *blob*; returns its digest."""
-        digest = hashlib.sha256(blob).hexdigest()
-        key = self.key(unit, spec)
-        has_trace = spec.prune != PRUNE_OFF
-        prior = self._blobs.get(key)
-        # Never replace a trace-carrying blob with a trace-less one
-        # (but keep the bytes addressable — a worker may still be
-        # fetching the superseded digest).
-        self._by_digest.setdefault(digest, blob)
-        if prior is not None and prior[1] and not has_trace:
-            return digest
-        self._blobs[key] = (digest, has_trace)
-        return digest
-
-    def evict(self, live_keys) -> int:
-        """Drop entries not serving any key in *live_keys*.
-
-        Returns the number of blob payloads (digests) released.  Called
-        when a study goes terminal: without this, ``_by_digest`` keeps
-        every golden payload ever stored for the service's lifetime.
-        """
-        live = set(live_keys)
-        for key in [k for k in self._blobs if k not in live]:
-            del self._blobs[key]
-        referenced = {digest for digest, _ in self._blobs.values()}
-        dead = [d for d in self._by_digest if d not in referenced]
-        for digest in dead:
-            del self._by_digest[digest]
-        return len(dead)
-
-    def __len__(self) -> int:
-        return len(self._blobs)
 
 
 def pack_text(text: str) -> str:
@@ -330,7 +163,7 @@ class RemoteLease:
         self.unit = unit
         self.attempt = attempt
         self.fence = fence
-        self.meta = meta               # the owning StudyRun
+        self.meta = meta               # the owning ServiceRun
         self.worker = worker
         self.started = started
         self.deadline_s = deadline_s
@@ -339,36 +172,17 @@ class RemoteLease:
         return (time.monotonic() if now is None else now) - self.started
 
 
-class Completion:
-    """One finished lease, routed back to its study."""
-
-    __slots__ = ("run", "unit", "state", "retry_delay_s", "detail")
-
-    def __init__(self, run: StudyRun, unit: WorkUnit, state: str,
-                 retry_delay_s: float | None = None,
-                 detail: str | None = None):
-        self.run = run
-        self.unit = unit
-        self.state = state             # DONE | FAILED | QUARANTINED
-        self.retry_delay_s = retry_delay_s   # set iff state == FAILED
-        self.detail = detail
-
-
 class WorkerFleet:
-    """A shared lease pool applying per-study retry/quarantine policy."""
+    """One lease pool and one remote fleet shared by many studies."""
 
     def __init__(self, workers: int = 2, unit_timeout_s: float | None = None,
-                 max_retries: int = 2, backoff_s: float = 0.5,
-                 fsync: bool = True, metrics: MetricsRegistry | None = None,
+                 metrics: MetricsRegistry | None = None,
                  heartbeat_s: float = 5.0, miss_budget: int = 3,
                  fence_epoch: int = 1, attest=None):
         self.pool = LeasePool(workers)
         self.unit_timeout_s = unit_timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.fsync = fsync
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = _GoldenCache()
+        self.cache = GoldenCache()
         self.attest = attest           # Attestor, or None (trust everyone)
         # Remote-lease state.  Registrations are deliberately in-memory:
         # on restart, units replay from journals and agents re-register;
@@ -381,7 +195,7 @@ class WorkerFleet:
         self.remote_workers: dict[str, RemoteWorker] = {}
         self.remote_leases: dict[str, RemoteLease] = {}   # fence -> lease
         self._completed_fences: set[str] = set()
-        self._pending: list[Completion] = []
+        self._pending: list[tuple] = []     # settled (run, unit, delay)
 
     @property
     def free_slots(self) -> int:
@@ -391,59 +205,41 @@ class WorkerFleet:
     def busy(self) -> int:
         return len(self.pool.running) + len(self.remote_leases)
 
-    def launch(self, run: StudyRun, unit: WorkUnit) -> None:
-        """Lease one unit of *run* (write-ahead journaled first)."""
-        uid = unit.unit_id
-        run.attempts[uid] = run.attempts.get(uid, 0) + 1
-        attempt = run.attempts[uid]
-        run.journal.record(uid, LEASED, attempt=attempt)
-        run.tracer.emit("unit_leased", unit=uid, attempt=attempt)
-        blob = self.cache.lookup(unit, run.spec)
-        self.pool.launch(unit, run.spec, attempt=attempt,
-                         logs_path=run.logs_path(unit),
-                         masks_path=run.masks_path(unit),
-                         golden_blob=blob, fsync=self.fsync,
-                         want_blob=blob is None,
-                         deadline_s=self.unit_timeout_s,
-                         meta=run)
+    def launch(self, run: ServiceRun, unit: WorkUnit) -> None:
+        """Lease one unit of *run* to a local slot."""
+        run.launch(self.pool, unit, self.unit_timeout_s)
 
-    def poll(self, now: float | None = None) -> list[Completion]:
-        """Completions since the last poll, policy already applied.
+    def poll(self, now: float | None = None) -> list[tuple]:
+        """Leases settled since the last poll, policy already applied.
 
-        DONE and QUARANTINED completions are terminal (journaled,
-        outcome recorded on the run); FAILED ones carry the backoff
-        delay after which the unit should be re-queued.  Covers both
-        lease kinds: local pool results, remote completes accepted
-        since the last poll, and revocations from remote deadline /
-        miss-budget expiry.
+        Each entry is ``(run, unit, delay)``: *delay* is the backoff
+        after which a failed unit should be re-queued, or None once the
+        unit is terminal (done or quarantined).  Covers both lease
+        kinds: local pool results, remote completes accepted since the
+        last poll, and revocations from remote deadline / miss-budget
+        expiry.
         """
         now = time.monotonic() if now is None else now
         self._expire_remote(now)
         out, self._pending = self._pending, []
         for lease, kind, payload in self.pool.poll():
-            run: StudyRun = lease.meta
-            if kind == RESULT and payload.get("ok"):
-                out.append(self._success(run, lease, payload))
-            elif kind == RESULT:
-                out.append(self._failure(run, lease, "error",
-                                         payload.get("error",
-                                                     "worker error")))
-            else:
-                out.append(self._failure(
-                    run, lease, "crashed" if kind == CRASHED else "timeout",
-                    payload))
+            run: ServiceRun = lease.meta
+            delay = run.settle(lease, kind, payload)
+            uid = lease.unit.unit_id
+            if self.attest is not None and delay is None \
+                    and run.cells[uid].state == DONE:
+                # Local executions are the trust anchor: their golden
+                # becomes the reference remote completes must match.
+                self.attest.observe_golden(lease.unit, run.spec,
+                                           run.logs_path(lease.unit))
+            out.append((run, lease.unit, delay))
         return out
 
-    def cancel_study(self, run: StudyRun) -> int:
+    def cancel_study(self, run: ServiceRun) -> int:
         """Terminate every in-flight lease belonging to *run*."""
         mine = [lease for lease in self.pool.running if lease.meta is run]
         for lease in mine:
             self.pool.terminate(lease)
-            run.journal.record(lease.unit.unit_id, FAILED,
-                               attempt=lease.attempt, reason="cancelled",
-                               detail="study cancelled")
-            run.tracer.emit("unit_failed", unit=lease.unit.unit_id,
-                            attempt=lease.attempt, reason="cancelled")
         remote = [lease for lease in self.remote_leases.values()
                   if lease.meta is run]
         for lease in remote:
@@ -451,11 +247,8 @@ class WorkerFleet:
             # learns via its next heartbeat; a late complete gets 409.
             del self.remote_leases[lease.fence]
             lease.worker.fences.discard(lease.fence)
-            run.journal.record(lease.unit.unit_id, FAILED,
-                               attempt=lease.attempt, reason="cancelled",
-                               detail="study cancelled")
-            run.tracer.emit("unit_failed", unit=lease.unit.unit_id,
-                            attempt=lease.attempt, reason="cancelled")
+        for lease in mine + remote:
+            run.record_failure(lease, "cancelled", "study cancelled")
         return len(mine) + len(remote)
 
     def terminate_all(self) -> None:
@@ -480,7 +273,7 @@ class WorkerFleet:
         self.metrics.counter("svc.remote.registrations").inc()
         return worker
 
-    def launch_remote(self, run: StudyRun, unit: WorkUnit, name: str,
+    def launch_remote(self, run: ServiceRun, unit: WorkUnit, name: str,
                       now: float | None = None) -> dict:
         """Lease one unit to remote worker *name*; returns the wire payload.
 
@@ -492,15 +285,9 @@ class WorkerFleet:
         worker = self.remote_workers.get(name)
         if worker is None:
             raise UnknownWorker(name)
-        uid = unit.unit_id
-        run.attempts[uid] = run.attempts.get(uid, 0) + 1
-        attempt = run.attempts[uid]
         self._fence_n += 1
         fence = f"{self.fence_epoch}-{self._fence_n}"
-        run.journal.record(uid, LEASED, attempt=attempt, fence=fence,
-                           worker=name)
-        run.tracer.emit("unit_leased", unit=uid, attempt=attempt,
-                        worker=name, fence=fence)
+        attempt = run.lease(unit, fence=fence, worker=name)
         meta = self.cache.lookup_meta(unit, run.spec)
         digest = None if meta is None else meta[1]
         deadline = (None if self.unit_timeout_s is None
@@ -540,7 +327,7 @@ class WorkerFleet:
         self._completed_fences.add(fence)
         del self.remote_leases[fence]
         lease.worker.fences.discard(fence)
-        run: StudyRun = lease.meta
+        run: ServiceRun = lease.meta
         if result is not None and result.get("ok"):
             # Attestation happens BEFORE the shipped files touch the
             # study directory: a rejected complete must leave no
@@ -551,29 +338,33 @@ class WorkerFleet:
                         lease.worker.name, lease.unit, run.spec,
                         result, logs_text, masks_text or "")
                 except RejectedComplete as exc:
-                    self._pending.append(self._failure(
-                        run, lease, "attest-reject",
-                        f"{exc.code}: {exc.detail}"))
+                    self._fail(lease, "attest-reject",
+                               f"{exc.code}: {exc.detail}")
                     raise
             # The worker ships its unit files verbatim; writing them
             # atomically keeps the study dir byte-identical to a run
             # where the unit executed locally.
             if logs_text is not None:
                 atomic_write_text(run.logs_path(lease.unit), logs_text,
-                                  fsync=self.fsync)
+                                  fsync=run.fsync)
             if masks_text is not None:
                 atomic_write_text(run.masks_path(lease.unit), masks_text,
-                                  fsync=self.fsync)
-            if blob is not None:
-                self.cache.store(lease.unit, run.spec, blob)
-            result = dict(result)
-            result.setdefault("golden_blob", None)
-            self._pending.append(self._success(run, lease, result))
+                                  fsync=run.fsync)
+            name = lease.worker.name
+            run.succeed(lease, dict(result, golden_blob=blob), worker=name)
+            if self.attest is not None:
+                uid = lease.unit.unit_id
+                run.remote_done[uid] = name
+                run.audited_ok.discard(uid)
+                self.attest.note_complete(
+                    run.study_id, lease.unit, run.spec, name,
+                    lease.attempt, run.logs_path(lease.unit),
+                    run.masks_path(lease.unit))
+            self._pending.append((run, lease.unit, None))
         else:
-            why = reason or "error"
-            what = detail or (result or {}).get("error",
-                                                "remote worker error")
-            self._pending.append(self._failure(run, lease, why, what))
+            self._fail(lease, reason or "error",
+                       detail or (result or {}).get("error",
+                                                    "remote worker error"))
         self.metrics.counter("svc.remote.completes").inc()
         return {"accepted": True, "duplicate": False}
 
@@ -653,8 +444,7 @@ class WorkerFleet:
         self.remote_leases.pop(lease.fence, None)
         lease.worker.fences.discard(lease.fence)
         self.metrics.counter("svc.remote.revoked").inc()
-        self._pending.append(self._failure(lease.meta, lease, reason,
-                                           detail))
+        self._fail(lease, reason, detail)
 
     def _revoke_worker(self, worker: RemoteWorker, detail: str) -> None:
         for fence in sorted(worker.fences):
@@ -663,74 +453,10 @@ class WorkerFleet:
                 self._revoke_lease(lease, "lost", detail)
         worker.fences.clear()
 
-    # -- policy (the scheduler's, per study) ---------------------------------
-
-    def _success(self, run: StudyRun, lease, res: dict) -> Completion:
-        uid = lease.unit.unit_id
-        worker = getattr(lease, "worker", None)    # RemoteLease only
-        extra = {"worker": worker.name} if worker is not None else {}
-        run.journal.record(uid, DONE, attempt=lease.attempt,
-                           counts=res["counts"],
-                           injections=res["injections"],
-                           early_stops=res["early_stops"],
-                           pruned=res.get("pruned", 0),
-                           resumed=res["resumed"], wall_s=res["wall_s"],
-                           **extra)
-        blob = res.get("golden_blob")
-        if blob is not None:
-            self.cache.store(lease.unit, run.spec, blob)
-        if run.tracer.enabled:
-            for ev in res["events"]:
-                run.tracer.sink.write(TraceEvent.from_dict(ev))
-        self.metrics.merge(MetricsRegistry.from_dict(res["metrics"]))
-        self.metrics.counter("sched.units_done").inc()
-        self.metrics.histogram("time.unit_s").observe(res["wall_s"])
-        run.tracer.emit("unit_done", unit=uid, attempt=lease.attempt,
-                        injections=res["injections"],
-                        pruned=res.get("pruned", 0),
-                        resumed=res["resumed"], wall_s=res["wall_s"])
-        run.cells[uid] = CellOutcome(
-            uid, DONE, counts=res["counts"],
-            injections=res["injections"],
-            early_stops=res["early_stops"], attempts=lease.attempt)
-        if self.attest is not None:
-            if worker is not None:
-                run.remote_done[uid] = worker.name
-                run.audited_ok.discard(uid)
-                self.attest.note_complete(
-                    run.study_id, lease.unit, run.spec, worker.name,
-                    lease.attempt, run.logs_path(lease.unit),
-                    run.masks_path(lease.unit))
-            else:
-                # Local executions are the trust anchor: their golden
-                # becomes the reference remote completes must match.
-                self.attest.observe_golden(lease.unit, run.spec,
-                                           run.logs_path(lease.unit))
-        return Completion(run, lease.unit, DONE)
-
-    def _failure(self, run: StudyRun, lease, reason: str,
-                 detail: str) -> Completion:
-        uid = lease.unit.unit_id
-        run.journal.record(uid, FAILED, attempt=lease.attempt,
-                           reason=reason, detail=detail)
-        run.tracer.emit("unit_failed", unit=uid,
-                        attempt=lease.attempt, reason=reason)
-        self.metrics.counter("sched.units_failed").inc()
-        if reason == "timeout":
-            self.metrics.counter("sched.timeouts").inc()
-        if lease.attempt > self.max_retries:
-            run.journal.record(uid, QUARANTINED, attempts=lease.attempt,
-                               detail=detail)
-            run.tracer.emit("unit_quarantined", unit=uid,
-                            attempts=lease.attempt)
-            self.metrics.counter("sched.quarantined").inc()
-            run.cells[uid] = CellOutcome(
-                uid, QUARANTINED, attempts=lease.attempt, error=detail)
-            return Completion(run, lease.unit, QUARANTINED, detail=detail)
-        self.metrics.counter("sched.retries").inc()
-        delay = self.backoff_s * (2 ** (lease.attempt - 1))
-        return Completion(run, lease.unit, FAILED,
-                          retry_delay_s=delay, detail=detail)
+    def _fail(self, lease: RemoteLease, reason: str, detail: str) -> None:
+        """Settle a remote lease as failed, for the next :meth:`poll`."""
+        delay = lease.meta.fail(lease, reason, detail)
+        self._pending.append((lease.meta, lease.unit, delay))
 
 
 def heartbeat_snapshot(pool: LeasePool,
@@ -744,7 +470,7 @@ def heartbeat_snapshot(pool: LeasePool,
             for lease in pool.running]
 
 
-__all__ = ["StudyRun", "WorkerFleet", "Completion", "heartbeat_snapshot",
+__all__ = ["ServiceRun", "WorkerFleet", "heartbeat_snapshot",
            "RemoteWorker", "RemoteLease", "StaleFence", "UnknownWorker",
            "RejectedComplete", "pack_text", "unpack_text", "pack_blob",
            "unpack_blob"]

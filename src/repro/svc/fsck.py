@@ -40,7 +40,7 @@ from repro.core.outcome import GoldenReference, InjectionRecord
 from repro.core.parser import classify_all
 from repro.sched.journal import (AUDIT_VOID, DONE, FAILED, LEASED,
                                  PENDING, QUARANTINED)
-from repro.sched.scheduler import EVENTS_NAME, JOURNAL_NAME
+from repro.sched.study import EVENTS_NAME, JOURNAL_NAME
 from repro.svc.state import SERVICE_JOURNAL_NAME, STUDIES_DIR_NAME
 
 LEGAL_UNIT_STATES = {PENDING, LEASED, DONE, FAILED, QUARANTINED,

@@ -33,12 +33,11 @@ from pathlib import Path
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JSONLSink, NULL_TRACER, Tracer
 from repro.sched.journal import AUDIT_VOID
-from repro.sched.journal import DONE as UNIT_DONE
 from repro.sched.journal import QUARANTINED as UNIT_QUARANTINED
 from repro.sched.plan import CampaignPlan, StudySpec
 from repro.sched.pool import RESULT, LeasePool
 from repro.svc.attest import (Attestor, RejectedComplete, WorkerDistrusted)
-from repro.svc.fleet import (StaleFence, StudyRun, UnknownWorker,
+from repro.svc.fleet import (ServiceRun, StaleFence, UnknownWorker,
                              WorkerFleet, heartbeat_snapshot, unpack_blob,
                              unpack_text)
 from repro.svc.queue import FairQueue, QuotaExceeded, TenantPolicy
@@ -69,6 +68,8 @@ class CampaignService:
         self.studies_dir = self.root / STUDIES_DIR_NAME
         self.studies_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
         self.heartbeat_s = heartbeat_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.queue = FairQueue(policies, default_policy, aging_s=aging_s)
@@ -94,8 +95,6 @@ class CampaignService:
             self.attestor.challenge_expectation()
         self.fleet = WorkerFleet(workers=workers,
                                  unit_timeout_s=unit_timeout_s,
-                                 max_retries=max_retries,
-                                 backoff_s=backoff_s, fsync=fsync,
                                  metrics=self.metrics,
                                  heartbeat_s=lease_heartbeat_s,
                                  miss_budget=miss_budget,
@@ -106,7 +105,7 @@ class CampaignService:
         self._audit_pool = LeasePool(1 if self.attestor is not None else 0)
         self.tracer = (Tracer(JSONLSink(self.root / SERVICE_EVENTS_NAME))
                        if events else NULL_TRACER)
-        self.runs: dict[str, StudyRun] = {}
+        self.runs: dict[str, ServiceRun] = {}
         self._last_beat = time.monotonic()
         self._closed = False
         for rec in self.state.active():
@@ -144,9 +143,7 @@ class CampaignService:
         rec = StudyRecord(study_id, tenant, spec.to_dict(), spec.spec_hash,
                           plan.unit_ids(), time.time())
         self.state.studies[study_id] = rec
-        run = StudyRun(study_id, tenant, spec,
-                       self.studies_dir / study_id, fsync=self.fsync)
-        self.runs[study_id] = run
+        run = self._open_run(rec, spec)
         for unit in run.pending_units():
             self.queue.push(tenant, (run, unit), now)
         self.metrics.counter("svc.studies_submitted").inc()
@@ -236,31 +233,16 @@ class CampaignService:
 
     def lease_remote(self, name: str, now: float | None = None) \
             -> dict | None:
-        """Dispatch one queued unit to remote worker *name*, or None.
-
-        Same single-dispatch path as :meth:`tick`'s local launches —
-        the fair queue decides *what* runs next; only *where* differs.
-        """
+        """Dispatch one queued unit to remote worker *name*, or None."""
         now = time.monotonic() if now is None else now
         if name not in self.fleet.remote_workers:
             raise UnknownWorker(name)
         if self.attestor is not None:
             self.attestor.admit_gate(name)
-        while True:
-            dispatched = self.queue.next(now)
-            if dispatched is None:
-                return None
-            tenant, (run, unit) = dispatched
-            rec = self.state.studies[run.study_id]
-            if rec.terminal:
-                self.queue.release(tenant)
-                continue
-            if rec.state == ACCEPTED:
-                self.journal.record_state(run.study_id, RUNNING)
-                rec.state = RUNNING
-                self.tracer.emit("study_running", study=run.study_id,
-                                 tenant=tenant)
-            return self.fleet.launch_remote(run, unit, name, now)
+        dispatched = self._dispatch(now)
+        if dispatched is None:
+            return None
+        return self.fleet.launch_remote(*dispatched, name, now)
 
     def complete_remote(self, body: dict) -> dict:
         """Settle one remote complete (wire payload, fields b64+zlib)."""
@@ -299,17 +281,16 @@ class CampaignService:
         completions = self.fleet.poll(now)
         for name in sorted(known - set(self.fleet.remote_workers)):
             self.tracer.emit("worker_lost", worker=name)
-        for c in completions:
-            rec = self.state.studies[c.run.study_id]
+        for run, unit, delay in completions:
+            rec = self.state.studies[run.study_id]
             self.queue.release(rec.tenant)
-            if c.state not in (UNIT_DONE, UNIT_QUARANTINED):
+            if delay is not None:
                 if rec.terminal:
                     continue           # cancelled while the lease ran
-                self.queue.push(rec.tenant, (c.run, c.unit), now,
-                                delay_s=c.retry_delay_s or 0.0)
-            elif c.run.complete and not rec.terminal \
-                    and not self._audits_pending(c.run):
-                self._finish_study(rec, c.run)
+                self.queue.push(rec.tenant, (run, unit), now, delay_s=delay)
+            elif run.complete and not rec.terminal \
+                    and not self._audits_pending(run):
+                self._finish_study(rec, run)
         if self.attestor is not None:
             self._drive_audits(now)
             # Studies whose finish was deferred behind a pending audit
@@ -320,9 +301,24 @@ class CampaignService:
                         and not self._audits_pending(run):
                     self._finish_study(rec, run)
         while self.fleet.free_slots > 0:
-            dispatched = self.queue.next(now)
+            dispatched = self._dispatch(now)
             if dispatched is None:
                 break
+            self.fleet.launch(*dispatched)
+        self._gauges(now)
+        self._heartbeat(now)
+        return len(completions)
+
+    def _dispatch(self, now: float) -> tuple | None:
+        """The fair queue's next live ``(run, unit)``, or None.
+
+        One path for local and remote leases: the fair queue decides
+        *what* runs next; only *where* differs.
+        """
+        while True:
+            dispatched = self.queue.next(now)
+            if dispatched is None:
+                return None
             tenant, (run, unit) = dispatched
             rec = self.state.studies[run.study_id]
             if rec.terminal:
@@ -333,10 +329,7 @@ class CampaignService:
                 rec.state = RUNNING
                 self.tracer.emit("study_running", study=run.study_id,
                                  tenant=tenant)
-            self.fleet.launch(run, unit)
-        self._gauges(now)
-        self._heartbeat(now)
-        return len(completions)
+            return run, unit
 
     def run_until_idle(self, poll_s: float = 0.01,
                        timeout_s: float | None = None) -> None:
@@ -426,12 +419,19 @@ class CampaignService:
             raise KeyError(f"no such study: {study_id}")
         return rec
 
+    def _open_run(self, rec: StudyRecord, spec: StudySpec) -> ServiceRun:
+        """Open (or, after a restart, replay) one study's run."""
+        run = ServiceRun(rec.study_id, rec.tenant, spec,
+                         self.studies_dir / rec.study_id,
+                         metrics=self.metrics, fsync=self.fsync,
+                         max_retries=self.max_retries,
+                         backoff_s=self.backoff_s, cache=self.fleet.cache)
+        self.runs[rec.study_id] = run
+        return run
+
     def _reopen(self, rec: StudyRecord) -> None:
         """Resume one non-terminal study from its own journal (restart)."""
-        spec = StudySpec.from_dict(rec.spec_dict)
-        run = StudyRun(rec.study_id, rec.tenant, spec,
-                       self.studies_dir / rec.study_id, fsync=self.fsync)
-        self.runs[rec.study_id] = run
+        run = self._open_run(rec, StudySpec.from_dict(rec.spec_dict))
         if run.complete:
             # Every unit finished but the service died before recording
             # the study terminal — settle it now.
@@ -443,7 +443,7 @@ class CampaignService:
                          tenant=rec.tenant,
                          pending=len(run.pending_units()))
 
-    def _finish_study(self, rec: StudyRecord, run: StudyRun) -> None:
+    def _finish_study(self, rec: StudyRecord, run: ServiceRun) -> None:
         self.journal.record_state(rec.study_id, STUDY_DONE)
         rec.state = STUDY_DONE
         rec.finished_ts = time.time()
@@ -475,7 +475,7 @@ class CampaignService:
         return (scratch / "logs" / f"{ticket.unit.file_id}.jsonl",
                 scratch / "masks" / f"{ticket.unit.file_id}.jsonl")
 
-    def _audits_pending(self, run: StudyRun) -> bool:
+    def _audits_pending(self, run: ServiceRun) -> bool:
         if self.attestor is None:
             return False
         sid = run.study_id
@@ -551,7 +551,7 @@ class CampaignService:
         for run in list(self.runs.values()):
             self._void_units(run, name, reason)
 
-    def _void_units(self, run: StudyRun, name: str, reason: str) -> int:
+    def _void_units(self, run: ServiceRun, name: str, reason: str) -> int:
         """Retract every unaudited DONE this worker produced for *run*.
 
         Write-ahead ``audit_void`` journal rows retract the results on

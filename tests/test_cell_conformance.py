@@ -3,7 +3,9 @@
 A cell's logs file must be a pure function of the cell and its seed:
 the execution path that produced it -- the serial campaign, the process
 pool under fork or spawn, a scheduler unit run fresh or resumed from a
-cut logs file -- must not show in a single byte.  One fixed cell runs
+cut logs file, a whole study through ``run_study``, that study resumed
+by ``Scheduler.resume`` after a kill, and the campaign service -- must
+not show in a single byte.  One fixed cell runs
 through every path, with pruning off and with ``analyze``, and each
 logs file is compared with a sha256 recorded before the paths shared
 one pipeline.
@@ -16,13 +18,16 @@ import contextlib
 import hashlib
 import json
 import multiprocessing as mp
+import shutil
 
 import pytest
 
 from repro.core.campaign import run_campaign
 from repro.core.parallel import run_campaign_parallel
+from repro.sched import Scheduler, run_study
 from repro.sched.plan import StudySpec, WorkUnit
 from repro.sched.worker import run_unit
+from repro.svc import CampaignService
 
 UNIT = WorkUnit("GeFIN-x86", "sha", "l1d")
 STUDY_SEED = 5
@@ -133,6 +138,56 @@ def test_resumed_unit_logs_match_recorded_digest(prune, unit_logs,
     result = run_unit(UNIT, spec(prune), logs, attempt=2)
     assert result["resumed"] == CUT_AFTER
     assert result["fresh"] == INJECTIONS - CUT_AFTER
+    assert digest(logs.read_bytes()) == DIGESTS[prune]
+
+
+def study_logs(study_dir):
+    return study_dir / "logs" / f"{UNIT.file_id}.jsonl"
+
+
+@pytest.fixture(scope="module")
+def study_dirs(tmp_path_factory):
+    """prune -> the directory of a finished ``run_study``, run once each."""
+    done = {}
+
+    def get(prune):
+        if prune not in done:
+            study = tmp_path_factory.mktemp("study")
+            assert run_study(spec(prune), study, workers=1).ok
+            done[prune] = study
+        return done[prune]
+    return get
+
+
+@pytest.mark.parametrize("prune", sorted(DIGESTS))
+def test_study_logs_match_recorded_digest(prune, study_dirs):
+    logs = study_logs(study_dirs(prune))
+    assert digest(logs.read_bytes()) == DIGESTS[prune]
+
+
+@pytest.mark.parametrize("prune", sorted(DIGESTS))
+def test_resumed_study_logs_match_recorded_digest(prune, study_dirs,
+                                                  tmp_path):
+    # A study killed after its unit's records were written but before
+    # the ``done`` row landed, with the logs torn back to CUT_AFTER.
+    study = tmp_path / "study"
+    shutil.copytree(study_dirs(prune), study)
+    journal = study / "journal.jsonl"
+    rows = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(row for row in rows
+                               if json.loads(row).get("state") != "done"))
+    cut(study_logs(study), CUT_AFTER)
+    result = Scheduler.resume(study, workers=1).run(resume=True)
+    assert result.ok and result.cells[UNIT.unit_id].attempts == 2
+    assert digest(study_logs(study).read_bytes()) == DIGESTS[prune]
+
+
+@pytest.mark.parametrize("prune", sorted(DIGESTS))
+def test_service_logs_match_recorded_digest(prune, tmp_path):
+    with CampaignService(tmp_path, workers=1) as service:
+        study_id = service.submit(spec(prune))
+        service.run_until_idle(timeout_s=120)
+    logs = study_logs(tmp_path / "studies" / study_id)
     assert digest(logs.read_bytes()) == DIGESTS[prune]
 
 

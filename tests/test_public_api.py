@@ -34,9 +34,9 @@ class TestPublicApi:
         "repro.bench.suite", "repro.bench.inputs",
         "repro.injectors.mafin", "repro.injectors.gefin",
         "repro.obs", "repro.obs.trace", "repro.obs.metrics",
-        "repro.obs.profile", "repro.obs.summarize",
+        "repro.obs.profile", "repro.obs.summarize", "repro.obs.http",
         "repro.sched", "repro.sched.plan", "repro.sched.journal",
-        "repro.sched.worker", "repro.sched.scheduler",
+        "repro.sched.worker", "repro.sched.scheduler", "repro.sched.study",
         "repro.svc", "repro.svc.api", "repro.svc.queue",
         "repro.svc.fleet", "repro.svc.service", "repro.svc.state",
         "repro.core.ioutil",

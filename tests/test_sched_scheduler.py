@@ -16,9 +16,9 @@ import time
 import pytest
 
 from repro.core.campaign import run_campaign
-from repro.sched import (DONE, QUARANTINED, CampaignPlan, Scheduler,
-                         StudySpec, WorkUnit, load_journal, merge_studies,
-                         run_study, run_unit, study_status)
+from repro.sched import (DONE, QUARANTINED, CampaignPlan, Journal,
+                         Scheduler, StudySpec, WorkUnit, load_journal,
+                         merge_studies, run_study, run_unit, study_status)
 from repro.sched.worker import unit_entry
 from repro.svc import fsck_study
 
@@ -165,6 +165,33 @@ class TestScheduler:
                                            seed=99))
         with pytest.raises(ValueError, match="spec"):
             Scheduler(plan, tmp_path / "study").run(resume=True)
+
+    def test_run_study_resume_checks_spec_and_shard(self, tmp_path):
+        # A header-only journal: resume must refuse before running.
+        sp = spec(structures=("int_rf", "l1i"))
+        study = tmp_path / "study"
+        with Journal(study / "journal.jsonl", fsync=False) as journal:
+            journal.write_header(sp.to_dict(),
+                                 CampaignPlan.from_spec(sp).unit_ids())
+        with pytest.raises(ValueError, match="spec"):
+            run_study(spec(structures=("int_rf", "l1i"), seed=99), study,
+                      resume=True, workers=1)
+        with pytest.raises(ValueError, match="shard"):
+            run_study(sp, study, shard=(1, 2), resume=True, workers=1)
+        with pytest.raises(FileNotFoundError):
+            run_study(sp, tmp_path / "none", resume=True, workers=1)
+        assert load_journal(study / "journal.jsonl").attempts == {}
+
+    def test_resume_refuses_other_shard(self, tmp_path):
+        sp = spec(structures=("int_rf", "l1i"))
+        plan = CampaignPlan.from_spec(sp)
+        shard0 = tmp_path / "shard0"
+        with Journal(shard0 / "journal.jsonl", fsync=False) as journal:
+            journal.write_header(sp.to_dict(), plan.shard(0, 2).unit_ids(),
+                                 shard=(0, 2))
+        with pytest.raises(ValueError, match="shard"):
+            Scheduler(plan.shard(1, 2), shard0, workers=1).run(resume=True)
+        assert fsck_study(shard0) == []
 
     def test_status_and_events(self, tmp_path):
         sp = spec(setups=(TWO_SETUPS[1],), structures=("int_rf", "l1d"))

@@ -8,6 +8,7 @@ no simulation runs at all.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -20,6 +21,7 @@ from repro.sched import DONE, CampaignPlan, StudySpec, load_journal
 from repro.svc import (CANCELLED, STUDY_DONE, CampaignService,
                        QuotaExceeded, ServiceJournal, ServiceServer,
                        TenantPolicy, load_service, study_id_for)
+from repro.svc.api import MAX_BODY
 
 SETUP = "MaFIN-x86"
 
@@ -450,3 +452,13 @@ class TestHttpApi:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{base}/studies/s9999-nobody/status")
         assert err.value.code == 404
+
+    def test_body_over_limit_is_413(self, served):
+        base, _ = served
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(f"POST /studies HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {MAX_BODY + 1}\r\n\r\n".encode())
+            reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"body over" in reply
