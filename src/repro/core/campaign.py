@@ -290,6 +290,8 @@ class InjectionCampaign:
                     progress(i + 1, len(sets), record)
         finally:
             simulated.close()
+            self.masks.close()
+            self.logs.close()
         if plan is not None:
             result.prune = dict(self._prune_stats)
             if self.audit:

@@ -15,86 +15,80 @@ the file.  Pass ``fsync=True`` to force every append to stable storage
 before returning — the durability contract the scheduler's write-ahead
 journal and unit logs rely on.
 
-Crash tolerance matches the journals: a worker SIGKILLed mid-append
-leaves a torn *final* line, which reopening repairs — the tail is
-truncated away (so later appends stay line-aligned) and replay
-continues from the records before it.  Corruption anywhere else still
-raises; that is a damaged file, not an interrupted write.
+Crash tolerance follows the append-only rule of
+:mod:`repro.core.ioutil` (docs/robustness.md, "Append-only files and
+crashes"): reopening a file whose writer was SIGKILLed mid-append
+replays the records before the torn final line and truncates that line,
+so later appends stay line-aligned.  A corrupt line with records after
+it raises ``ValueError``; that is a damaged file, not an interrupted
+write.  :func:`decode_logs_row` is the one decoder of a logs row.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
 from pathlib import Path
 
 from repro.core.fault import FaultSet
+from repro.core.ioutil import JSONLWriter, read_jsonl
 from repro.core.outcome import GoldenReference, InjectionRecord
-from repro.errors import CampaignError
 
 
-def _load_rows(path: Path) -> list[dict]:
-    """Parse a repository JSONL file, repairing a torn trailing line.
+def decode_logs_row(row: dict) -> GoldenReference | InjectionRecord:
+    """Decode one ``{"kind": "golden" | "injection", "data": ...}`` row.
 
-    Returns the parsed rows.  If the final line does not parse (the
-    write a crash interrupted), it is truncated off the file so the
-    next append produces a well-formed line; a bad line *followed by*
-    good lines is real corruption and raises.
+    Raises ``ValueError`` for any other row.
     """
-    rows: list[dict] = []
-    data = path.read_bytes()
-    offset = 0
-    torn_at: int | None = None
-    for n, raw in enumerate(data.splitlines(keepends=True), 1):
-        line = raw.strip()
-        if torn_at is not None and line:
-            raise ValueError(f"{path}:{n - 1}: corrupt repository line "
-                             f"(complete lines follow it)")
-        if line:
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                torn_at = offset
-        offset += len(raw)
-    if torn_at is not None:
-        warnings.warn(
-            f"{path}: dropping torn trailing line — writer was killed "
-            f"mid-append", RuntimeWarning, stacklevel=3)
-        with open(path, "r+b") as fh:
-            fh.truncate(torn_at)
-    return rows
-
-
-def _append_rows(path: Path, rows, fsync: bool) -> None:
+    kind = row.get("kind")
+    if kind == "golden":
+        cls = GoldenReference
+    elif kind == "injection":
+        cls = InjectionRecord
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-    except OSError as exc:
-        raise CampaignError(
-            f"cannot append to repository {path}: {exc} — records are "
-            f"not durable; free space or fix permissions, then run "
-            f"`repro.tools fsck --repair` to trim any torn tail before "
-            f"resuming") from exc
+        return cls.from_dict(row.get("data"))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
-class MasksRepository:
+class _FileBacked:
+    """The file half of a repository: the rows already in its JSONL file
+    on attach, appends after; nothing on disk when *path* is None."""
+
+    def __init__(self, path, fsync: bool):
+        self.path = Path(path) if path is not None else None
+        self.fsync = fsync
+        self._log = (JSONLWriter(self.path) if self.path is not None
+                     else None)
+
+    def _replay(self) -> list[dict]:
+        if self._log is None or not self.path.exists():
+            return []
+        rows = read_jsonl(self.path)
+        self._log.open()                   # truncates a torn tail
+        return rows
+
+    def _write(self, rows) -> None:
+        if self._log is not None:
+            self._log.fsync = self.fsync   # callers may set it after attach
+            self._log.append(*rows)
+
+    def close(self) -> None:
+        """Close the file; a later append reopens it."""
+        if self._log is not None:
+            self._log.close()
+
+
+class MasksRepository(_FileBacked):
     """Stores generated fault sets for a campaign (keyed by ``set_id``)."""
 
     def __init__(self, path: str | Path | None = None,
                  fsync: bool = False):
-        self.path = Path(path) if path is not None else None
-        self.fsync = fsync
+        super().__init__(path, fsync)
         self._sets: list[FaultSet] = []
         self._ids: set[int] = set()
-        if self.path is not None and self.path.exists():
-            for row in _load_rows(self.path):
-                self._remember(FaultSet.from_dict(row))
+        for row in self._replay():
+            self._remember(FaultSet.from_dict(row))
 
     def _remember(self, fs: FaultSet) -> bool:
         if fs.set_id in self._ids:
@@ -110,9 +104,8 @@ class MasksRepository:
         same (deterministic) masks therefore appends nothing.
         """
         fresh = [fs for fs in fault_sets if self._remember(fs)]
-        if self.path is not None and fresh:
-            _append_rows(self.path, [fs.to_dict() for fs in fresh],
-                         self.fsync)
+        if fresh:
+            self._write(fs.to_dict() for fs in fresh)
 
     def __contains__(self, set_id: int) -> bool:
         return set_id in self._ids
@@ -124,25 +117,22 @@ class MasksRepository:
         return len(self._sets)
 
 
-class LogsRepository:
+class LogsRepository(_FileBacked):
     """Stores raw injection records plus the golden reference."""
 
     def __init__(self, path: str | Path | None = None,
                  fsync: bool = False):
-        self.path = Path(path) if path is not None else None
-        self.fsync = fsync
+        super().__init__(path, fsync)
         self.golden: GoldenReference | None = None
         self._records: list[InjectionRecord] = []
         self._ids: set[int] = set()
-        if self.path is not None and self.path.exists():
-            for row in _load_rows(self.path):
-                if row.get("kind") == "golden":
-                    self.golden = GoldenReference.from_dict(row["data"])
-                else:
-                    rec = InjectionRecord.from_dict(row["data"])
-                    if rec.set_id not in self._ids:
-                        self._records.append(rec)
-                        self._ids.add(rec.set_id)
+        for row in self._replay():
+            item = decode_logs_row(row)
+            if isinstance(item, GoldenReference):
+                self.golden = item
+            elif item.set_id not in self._ids:
+                self._records.append(item)
+                self._ids.add(item.set_id)
 
     def set_golden(self, golden: GoldenReference) -> None:
         """Record the golden reference (idempotent on re-attach).
@@ -155,7 +145,7 @@ class LogsRepository:
             self.golden = golden
             return
         self.golden = golden
-        self._write({"kind": "golden", "data": golden.to_dict()})
+        self._write([{"kind": "golden", "data": golden.to_dict()}])
 
     def add(self, record: InjectionRecord) -> None:
         """Append one record; duplicates (same ``set_id``) are skipped."""
@@ -163,7 +153,7 @@ class LogsRepository:
             return
         self._records.append(record)
         self._ids.add(record.set_id)
-        self._write({"kind": "injection", "data": record.to_dict()})
+        self._write([{"kind": "injection", "data": record.to_dict()}])
 
     @property
     def set_ids(self) -> set:
@@ -172,11 +162,6 @@ class LogsRepository:
 
     def __contains__(self, set_id: int) -> bool:
         return set_id in self._ids
-
-    def _write(self, row: dict) -> None:
-        if self.path is None:
-            return
-        _append_rows(self.path, [row], self.fsync)
 
     @property
     def records(self) -> list[InjectionRecord]:

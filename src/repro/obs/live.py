@@ -24,18 +24,24 @@ maintains the live picture the status server, the HTML report, and
   incrementally.
 
 Everything is read-only: a view never writes into the study directory,
-so any number of observers can watch one running study.
+so any number of observers can watch one running study.  Unit states
+fold through the journal's own :meth:`JournalState.apply
+<repro.sched.journal.JournalState.apply>`, so the view agrees with
+``load_journal`` row for row; the tailer follows the append-only rule
+of :mod:`repro.core.ioutil` (docs/robustness.md, "Append-only files and
+crashes").
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from pathlib import Path
 
+from repro.core.ioutil import parse_jsonl_line
 from repro.core.outcome import GoldenReference, InjectionRecord
 from repro.core.parser import classify
+from repro.core.repository import decode_logs_row
 from repro.obs.convergence import cell_convergence
 from repro.obs.summarize import SummaryAccumulator
 
@@ -52,19 +58,19 @@ RATE_WINDOW_S = 60.0
 class JSONLTailer:
     """Incremental reader of a JSONL file another process is appending.
 
-    Remembers its byte offset between :meth:`poll` calls and only ever
-    consumes newline-terminated lines — a torn tail (the line a crash
-    or a concurrent writer left half-written) stays buffered until its
-    newline arrives.  A complete line that is not valid JSON is
-    skipped and counted in :attr:`bad_lines`.  A file that shrinks
-    (truncation/rotation) resets the tail to the start.
+    Remembers the byte offset just past the last newline it consumed;
+    anything after it — a torn tail, or a line a concurrent writer has
+    not finished — is read again on the next :meth:`poll`, so a writer
+    that truncates a torn tail before appending never splices old bytes
+    onto new ones.  A complete line that is not valid JSON is skipped
+    and counted in :attr:`bad_lines`.  A file that shrinks below the
+    offset (truncation/rotation) resets the tail to the start.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.offset = 0
         self.bad_lines = 0
-        self._partial = ""
 
     def poll(self) -> list[dict]:
         """Return the complete JSON rows appended since the last poll."""
@@ -74,52 +80,56 @@ class JSONLTailer:
             return []
         if size < self.offset:               # truncated out from under us
             self.offset = 0
-            self._partial = ""
         if size == self.offset:
             return []
         with open(self.path, "rb") as fh:
             fh.seek(self.offset)
             data = fh.read()
-        self.offset += len(data)
-        chunk = self._partial + data.decode("utf-8", errors="replace")
-        lines = chunk.split("\n")
-        self._partial = lines.pop()          # torn tail ("" if clean)
+        end = data.rfind(b"\n") + 1          # complete lines only
+        self.offset += end
         rows = []
-        for line in lines:
-            line = line.strip()
-            if not line:
+        for line in data[:end].split(b"\n"):
+            if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
+                rows.append(parse_jsonl_line(line))
+            except ValueError:
                 self.bad_lines += 1
         return rows
 
 
 class UnitView:
-    """Rolling state of one work unit, merged from journal + logs."""
+    """Rolling state of one work unit: its live logs, plus what the
+    study's :class:`JournalState` says about it."""
 
-    __slots__ = ("unit_id", "state", "attempts", "lease_ts", "detail",
-                 "journal_injections", "resumed", "wall_s", "records",
+    __slots__ = ("unit_id", "journal", "lease_ts", "detail", "records",
                  "counts", "golden", "pending", "planned",
-                 "last_progress", "done_counts")
+                 "last_progress")
 
-    def __init__(self, unit_id: str):
+    def __init__(self, unit_id: str, journal):
         self.unit_id = unit_id
-        self.state = "pending"
-        self.attempts = 0
+        self.journal = journal
         self.lease_ts: float | None = None
         self.detail: str | None = None
-        self.journal_injections = 0
-        self.resumed = 0
-        self.wall_s = 0.0
         self.records = 0                     # live records seen in logs
         self.counts: dict[str, int] = {}     # live class -> count
-        self.done_counts: dict | None = None  # journal's final counts
         self.golden: GoldenReference | None = None
         self.pending: list[InjectionRecord] = []   # records before golden
         self.planned: int | None = None      # masks generated (if known)
         self.last_progress: float | None = None
+
+    @property
+    def state(self) -> str:
+        return self.journal.state_of(self.unit_id)
+
+    @property
+    def result(self) -> dict:
+        """The unit's journaled ``done`` row ({} until it is done)."""
+        return self.journal.results.get(self.unit_id, {})
+
+    @property
+    def injections(self) -> int:
+        return max(self.records, self.result.get("injections", 0))
 
     @property
     def file_id(self) -> str:
@@ -141,9 +151,10 @@ class UnitView:
 
     def best_counts(self) -> dict:
         """Most authoritative outcome counts available right now."""
-        if self.done_counts is not None and \
-                sum(self.done_counts.values()) >= sum(self.counts.values()):
-            return self.done_counts
+        done = self.result.get("counts")
+        if done is not None and \
+                sum(done.values()) >= sum(self.counts.values()):
+            return done
         return self.counts
 
 
@@ -157,9 +168,9 @@ class StudyView:
         self.journal_tail = JSONLTailer(self.study_dir / JOURNAL_NAME)
         self.events_tail = JSONLTailer(self.study_dir / EVENTS_NAME)
         self.accumulator = SummaryAccumulator()
-        self.spec_dict: dict | None = None
-        self.spec_hash: str | None = None
-        self.shard: tuple | None = None
+        # Imported here: the sched package itself imports repro.obs.
+        from repro.sched.journal import JournalState
+        self.journal = JournalState()
         self.unit_ids: list[str] = []
         self.units: dict[str, UnitView] = {}
         self.transitions: list[dict] = []     # journal rows + seq, in order
@@ -174,39 +185,30 @@ class StudyView:
     def _unit(self, unit_id: str) -> UnitView:
         uv = self.units.get(unit_id)
         if uv is None:
-            uv = self.units[unit_id] = UnitView(unit_id)
+            uv = self.units[unit_id] = UnitView(unit_id, self.journal)
             if unit_id not in self.unit_ids:
                 self.unit_ids.append(unit_id)
         return uv
 
     def _apply_journal(self, row: dict) -> None:
-        kind = row.get("kind")
         ts = row.get("ts")
         if isinstance(ts, (int, float)):
             self.latest_ts = max(self.latest_ts or ts, ts)
-        if kind == "study":
-            self.spec_dict = row.get("spec")
-            self.spec_hash = row.get("spec_hash")
-            shard = row.get("shard")
-            self.shard = tuple(shard) if shard else None
-            for uid in row.get("units", []):
+        self.journal.apply(row)
+        if row.get("kind") == "study":
+            for uid in self.journal.unit_ids:
                 self._unit(uid)
-        elif kind == "unit":
-            uid = row.get("unit")
-            if not uid:
-                return
+        elif row.get("kind") == "unit" and isinstance(row.get("unit"), str):
+            uid, state = row["unit"], row.get("state")
+            if state == "audit_void":
+                # The voided unit's logs are deleted and rerun: start
+                # its live picture over.
+                self.units.pop(uid, None)
+                self._logs_tails.pop(uid, None)
+                self._masks_tails.pop(uid, None)
             uv = self._unit(uid)
-            state = row.get("state", uv.state)
-            uv.state = state
             if state == "leased":
-                uv.attempts += 1
-                uv.lease_ts = ts
-                uv.last_progress = ts
-            elif state == "done":
-                uv.done_counts = row.get("counts")
-                uv.journal_injections = row.get("injections", 0)
-                uv.resumed = row.get("resumed", 0)
-                uv.wall_s = row.get("wall_s", 0.0)
+                uv.lease_ts = uv.last_progress = ts
             elif state in ("failed", "quarantined"):
                 uv.detail = row.get("detail") or row.get("reason")
             self.transitions.append(
@@ -221,16 +223,16 @@ class StudyView:
                 tail = self._logs_tails[uv.unit_id] = \
                     JSONLTailer(logs_dir / f"{uv.file_id}.jsonl")
             for row in tail.poll():
-                data = row.get("data", {})
-                if row.get("kind") == "golden":
-                    uv.set_golden(GoldenReference.from_dict(data))
-                elif row.get("kind") == "injection":
-                    try:
-                        uv.classify_record(InjectionRecord.from_dict(data))
-                    except (TypeError, ValueError, KeyError):
-                        continue          # schema drift; never crash a view
-                    uv.last_progress = now
-                    self._arrivals.append(now)
+                try:
+                    item = decode_logs_row(row)
+                    if isinstance(item, GoldenReference):
+                        uv.set_golden(item)
+                        continue
+                    uv.classify_record(item)
+                except (TypeError, ValueError, KeyError):
+                    continue              # schema drift; never crash a view
+                uv.last_progress = now
+                self._arrivals.append(now)
             mtail = self._masks_tails.get(uv.unit_id)
             if mtail is None:
                 mtail = self._masks_tails[uv.unit_id] = \
@@ -259,11 +261,7 @@ class StudyView:
     # -- derived quantities ------------------------------------------------
 
     def tally(self) -> dict:
-        tally = {"pending": 0, "leased": 0, "done": 0, "failed": 0,
-                 "quarantined": 0}
-        for uv in self.units.values():
-            tally[uv.state] = tally.get(uv.state, 0) + 1
-        return tally
+        return self.journal.tally()
 
     def complete(self) -> bool:
         return bool(self.units) and all(
@@ -286,19 +284,18 @@ class StudyView:
         return "queued"
 
     def injections_done(self) -> int:
-        return sum(max(uv.records, uv.journal_injections)
-                   for uv in self.units.values())
+        return sum(uv.injections for uv in self.units.values())
 
     def planned_injections(self) -> int | None:
         """Total study size, when every unit's mask count is known."""
-        spec = self.spec_dict or {}
+        spec = self.journal.spec_dict or {}
         fixed = spec.get("injections")
         total = 0
         for uv in self.units.values():
             planned = uv.planned if uv.planned is not None else fixed
             if planned is None:
                 if uv.state == "done":
-                    planned = uv.journal_injections
+                    planned = uv.result.get("injections", 0)
                 else:
                     return None            # sampler-sized unit not started
             total += planned
@@ -360,7 +357,7 @@ class StudyView:
         it defaults to wall-clock time.
         """
         now = time.time() if now is None else now
-        spec = self.spec_dict or {}
+        spec = self.journal.spec_dict or {}
         confidence = spec.get("confidence", 0.99)
         error_margin = spec.get("error_margin", 0.03)
         stalled = set(self.stalled_units(now))
@@ -379,24 +376,25 @@ class StudyView:
             cells.append({
                 "unit": uid,
                 "state": uv.state,
-                "attempts": uv.attempts,
-                "injections": max(uv.records, uv.journal_injections),
+                "attempts": self.journal.attempts.get(uid, 0),
+                "injections": uv.injections,
                 "planned": uv.planned if uv.planned is not None
                 else spec.get("injections"),
                 "counts": dict(counts),
                 "convergence": conv,
                 "lease_age_s": lease_age,
                 "stalled": uid in stalled,
-                "resumed": uv.resumed,
-                "wall_s": uv.wall_s,
+                "resumed": uv.result.get("resumed", 0),
+                "wall_s": uv.result.get("wall_s", 0.0),
                 "error": uv.detail,
             })
         eta = self.eta_s(now)
         return {
             "study_dir": str(self.study_dir),
-            "spec_hash": self.spec_hash,
+            "spec_hash": self.journal.spec_hash,
             "spec": spec or None,
-            "shard": list(self.shard) if self.shard else None,
+            "shard": (list(self.journal.shard) if self.journal.shard
+                      else None),
             "units": len(self.unit_ids),
             "tally": self.tally(),
             "state": self.state(),
@@ -433,7 +431,7 @@ def load_study_view(study_dir, stall_after_s: float =
     """Build a view and consume everything the study has written so far."""
     view = StudyView(study_dir, stall_after_s=stall_after_s)
     view.refresh()
-    if view.spec_dict is None:
+    if view.journal.spec_dict is None:
         raise FileNotFoundError(
             f"{view.study_dir / JOURNAL_NAME}: no study journal (yet)")
     return view

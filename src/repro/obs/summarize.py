@@ -14,46 +14,22 @@ quarantines, and injections recovered from logs on resume.
 
 from __future__ import annotations
 
-import json
-import warnings
 from pathlib import Path
 
+from repro.core.ioutil import read_jsonl
 from repro.obs.metrics import Histogram
 
 
 def load_events(path) -> list[dict]:
     """Parse a JSONL events file into plain dicts (schema-tolerant).
 
-    A torn *trailing* line — the write a killed campaign never finished
-    — is dropped with a warning, matching the journal's torn-tail
-    replay semantics.  Corruption anywhere else still raises.
+    Every event needs a ``name``.  The append-only rule of
+    :mod:`repro.core.ioutil` applies (docs/robustness.md, "Append-only
+    files and crashes"): a torn trailing line — the write a killed
+    campaign never finished — is dropped with a warning; a bad line with
+    complete lines after it raises ``ValueError`` naming ``path:line``.
     """
-    events = []
-    pending_error = None            # (lineno, message) of a bad line
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending_error is not None:
-                # The bad line had complete lines after it: real
-                # corruption, not a torn tail.
-                raise ValueError("{}:{}: {}".format(path, *pending_error))
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                pending_error = (n, f"not valid JSON: {exc}")
-                continue
-            if "name" not in row:
-                pending_error = (n, "event without a name")
-                continue
-            events.append(row)
-    if pending_error is not None:
-        warnings.warn(
-            f"{path}:{pending_error[0]}: dropping torn trailing line "
-            f"({pending_error[1]}) — campaign was likely killed "
-            f"mid-write", RuntimeWarning, stacklevel=2)
-    return events
+    return read_jsonl(path, require="name")
 
 
 class SummaryAccumulator:

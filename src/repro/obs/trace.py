@@ -20,7 +20,9 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from repro.core.ioutil import JSONLWriter
+from repro.obs.summarize import load_events as load_event_dicts
 
 #: The documented event vocabulary, in the order a serial campaign with
 #: a single classify() call emits them (checkpoint/inject events repeat).
@@ -97,27 +99,22 @@ class RingBufferSink:
         return len(self._buf)
 
 
-class JSONLSink:
+class JSONLSink(JSONLWriter):
     """Appends one JSON object per event to *path*.
 
     The file format is the input of ``repro.tools obs summarize``; see
-    docs/observability.md for the schema.
+    docs/observability.md for the schema.  Opening truncates a torn
+    tail; events are buffered, with no flush per event.
     """
 
     def __init__(self, path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a")
+        super().__init__(path)
+        self.open()
 
     def write(self, event: TraceEvent) -> None:
-        if self._fh.closed:            # late emits (e.g. classify() after
+        if self.closed:                # late emits (e.g. classify() after
             return                     # the campaign closed the file)
         self._fh.write(json.dumps(event.to_dict()) + "\n")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
 
 
 class TeeSink:
@@ -162,11 +159,6 @@ NULL_TRACER = Tracer()
 
 
 def load_events(path) -> list:
-    """Read a JSONL events file back into :class:`TraceEvent` objects."""
-    events = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-    return events
+    """Read a JSONL events file back into :class:`TraceEvent` objects,
+    by the rule of :func:`repro.obs.summarize.load_events`."""
+    return [TraceEvent.from_dict(row) for row in load_event_dicts(path)]

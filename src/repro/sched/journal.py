@@ -17,20 +17,23 @@ resume never re-runs a completed unit, and partially-completed units
 resume mid-campaign from their logs repository (records are keyed by
 ``set_id`` — see :mod:`repro.core.repository`).
 
-Replay is crash-tolerant: a torn final line (the write the crash
-interrupted) is ignored.  Stale leases — a ``leased`` record with no
-terminal transition — are what an interrupted run leaves behind; the
-scheduler counts them as spent attempts and re-queues the unit.
+Replay and reopening follow the append-only rule of
+:mod:`repro.core.ioutil` (docs/robustness.md, "Append-only files and
+crashes"): replay skips a torn final line, reopening truncates it, and a
+corrupt line with rows after it is a ``ValueError``.  Stale leases — a
+``leased`` record with no terminal transition — are what an interrupted
+run leaves behind; the scheduler counts them as spent attempts and
+re-queues the unit.  :meth:`JournalState.apply` is the one fold of a
+journal row: :func:`load_journal`, ``repro.tools fsck`` and the live
+:class:`~repro.obs.live.StudyView` all replay through it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
-from repro.errors import CampaignError
+from repro.core.ioutil import JSONLWriter, read_jsonl
 
 # Unit states (journal record vocabulary).
 PENDING = "pending"          # implicit: in the plan, nothing journaled
@@ -45,16 +48,16 @@ AUDIT_VOID = "audit_void"    # a done result retracted by attestation:
 TERMINAL_STATES = (DONE, QUARANTINED)
 
 
-class Journal:
+class Journal(JSONLWriter):
     """Append-only, fsync'd JSONL journal of one study shard."""
 
     def __init__(self, path, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a")
+        super().__init__(path, fsync)
+        self.open()
 
-    # -- writing ----------------------------------------------------------
+    # A name in this class's own dict: perfbench/spans.py counts
+    # journal appends by wrapping it.
+    _append = JSONLWriter.append
 
     def write_header(self, spec_dict: dict, unit_ids, shard=None) -> None:
         self._append({"kind": "study", "spec": spec_dict,
@@ -67,32 +70,6 @@ class Journal:
         """Journal one unit state transition (durably, before acting)."""
         self._append({"kind": "unit", "unit": unit_id, "state": state,
                       "ts": time.time(), **fields})
-
-    def _append(self, row: dict) -> None:
-        try:
-            self._fh.write(json.dumps(row) + "\n")
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-        except OSError as exc:
-            raise CampaignError(
-                f"cannot append to journal {self.path}: {exc} — the "
-                f"study cannot continue durably; free space or fix "
-                f"permissions, then run `repro.tools fsck --repair` on "
-                f"the study directory before resuming") from exc
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class JournalState:
@@ -107,11 +84,30 @@ class JournalState:
         self.attempts: dict[str, int] = {}    # unit -> leases journaled
         self.results: dict[str, dict] = {}    # unit -> done payload
 
+    def apply(self, row: dict) -> None:
+        """Fold one journal row into the state (rows in file order)."""
+        kind = row.get("kind")
+        if kind == "study":
+            self.spec_dict = row.get("spec")
+            self.spec_hash = row.get("spec_hash")
+            self.unit_ids = list(row.get("units", []))
+            shard = row.get("shard")
+            self.shard = tuple(shard) if shard else None
+        elif kind == "unit" and isinstance(row.get("unit"), str):
+            uid, state = row["unit"], row.get("state")
+            self.last[uid] = row
+            if state == LEASED:
+                self.attempts[uid] = self.attempts.get(uid, 0) + 1
+            elif state == DONE:
+                self.results[uid] = row
+            elif state == AUDIT_VOID:
+                self.results.pop(uid, None)
+
     # -- queries ----------------------------------------------------------
 
     def state_of(self, unit_id: str) -> str:
         row = self.last.get(unit_id)
-        return row["state"] if row else PENDING
+        return row.get("state") if row else PENDING
 
     def is_done(self, unit_id: str) -> bool:
         return self.state_of(unit_id) == DONE
@@ -128,7 +124,7 @@ class JournalState:
             state = self.state_of(uid)
             if state == AUDIT_VOID:
                 state = PENDING    # a voided unit is back in the queue
-            tally[state] += 1
+            tally[state] = tally.get(state, 0) + 1
         return tally
 
 
@@ -141,36 +137,13 @@ def _spec_hash(spec_dict: dict) -> str:
 def load_journal(path) -> JournalState:
     """Replay a journal file into a :class:`JournalState`.
 
-    Tolerates a torn (partially-written) final line — everything before
-    it is, by the fsync discipline, durable and consistent.
+    Skips a torn final line — everything before it is, by the fsync
+    discipline, durable and consistent — and raises ``ValueError`` on a
+    corrupt line with rows after it.
     """
     state = JournalState()
-    path = Path(path)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                break                      # torn tail from a crash
-            kind = row.get("kind")
-            if kind == "study":
-                state.spec_dict = row.get("spec")
-                state.spec_hash = row.get("spec_hash")
-                state.unit_ids = list(row.get("units", []))
-                shard = row.get("shard")
-                state.shard = tuple(shard) if shard else None
-            elif kind == "unit":
-                uid = row["unit"]
-                state.last[uid] = row
-                if row["state"] == LEASED:
-                    state.attempts[uid] = state.attempts.get(uid, 0) + 1
-                elif row["state"] == DONE:
-                    state.results[uid] = row
-                elif row["state"] == AUDIT_VOID:
-                    state.results.pop(uid, None)
+    for row in read_jsonl(path):
+        state.apply(row)
     if state.spec_dict is None:
         raise ValueError(f"{path}: not a study journal (no header)")
     return state

@@ -41,9 +41,11 @@ from collections import deque
 from functools import lru_cache
 from pathlib import Path
 
+from repro.core.ioutil import read_jsonl
 from repro.core.maskgen import StructureInfo
-from repro.core.outcome import GoldenReference, InjectionRecord
+from repro.core.outcome import GoldenReference
 from repro.core.parser import classify_all
+from repro.core.repository import decode_logs_row
 from repro.obs.metrics import MetricsRegistry
 from repro.sched.plan import StudySpec, WorkUnit
 
@@ -144,21 +146,15 @@ def _parse_logs(logs_text: str):
         except json.JSONDecodeError as exc:
             raise RejectedComplete("malformed-logs",
                                    f"logs line {n}: {exc}") from exc
-        kind, data = row.get("kind"), row.get("data")
         try:
-            if kind == "golden":
-                golden = GoldenReference.from_dict(data)
-            elif kind == "injection":
-                records.append(InjectionRecord.from_dict(data))
-            else:
-                raise RejectedComplete("malformed-logs",
-                                       f"logs line {n}: unknown kind "
-                                       f"{kind!r}")
-        except RejectedComplete:
-            raise
-        except (TypeError, AttributeError) as exc:
+            item = decode_logs_row(row)
+        except (ValueError, AttributeError) as exc:
             raise RejectedComplete("malformed-logs",
                                    f"logs line {n}: {exc}") from exc
+        if isinstance(item, GoldenReference):
+            golden = item
+        else:
+            records.append(item)
     return golden, records
 
 
@@ -486,19 +482,13 @@ class Attestor:
         if key in self._golden_seen:
             return
         try:
-            text = Path(logs_path).read_text()
-        except OSError:
+            items = [decode_logs_row(row) for row in read_jsonl(logs_path)]
+        except (OSError, ValueError):
             return
-        golden = None
-        for line in text.splitlines():
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if row.get("kind") == "golden":
-                golden = row["data"]   # last wins, like LogsRepository
-        if golden is not None:
-            self._golden_seen[key] = golden
+        goldens = [item for item in items
+                   if isinstance(item, GoldenReference)]
+        if goldens:                    # last wins, like LogsRepository
+            self._golden_seen[key] = goldens[-1].to_dict()
 
     # -- sampled re-execution audits ----------------------------------
 

@@ -46,11 +46,10 @@ import zlib
 
 from repro.core.ioutil import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import JSONLSink, Tracer
-from repro.sched.journal import DONE, Journal, JournalState
+from repro.sched.journal import DONE, JournalState
 from repro.sched.plan import CampaignPlan, StudySpec, WorkUnit
 from repro.sched.pool import LeasePool
-from repro.sched.study import EVENTS_NAME, GoldenCache, StudyRun
+from repro.sched.study import GoldenCache, StudyRun
 from repro.svc.attest import CHALLENGE_GRACE_S, RejectedComplete
 
 
@@ -81,10 +80,8 @@ class ServiceRun(StudyRun):
     def reopen(self) -> None:
         """Reopen journal/tracer after a finished study is voided back
         to running (an audit distrusted a worker that touched it)."""
-        if self.journal._fh.closed:
-            self.journal = Journal(self.journal.path, fsync=self.fsync)
-        if self.tracer.sink._fh.closed:
-            self.tracer = Tracer(JSONLSink(self.study_dir / EVENTS_NAME))
+        self.journal.open()
+        self.tracer.sink.open()
 
 
 def pack_text(text: str) -> str:

@@ -5,8 +5,8 @@ root) and verifies the invariants the running system enforces online:
 
 * **journal replay consistency** — the unit journal parses, carries a
   header, references only units of its own plan, and uses only legal
-  states; a torn final line (the write a crash interrupted) is
-  reported and, with ``--repair``, truncated off;
+  states, replayed through the same :meth:`JournalState.apply
+  <repro.sched.journal.JournalState.apply>` as ``load_journal``;
 * **repository integrity** — every DONE unit's logs/masks files exist,
   parse, hold each ``set_id`` at most once, and agree with each other
   (every injection record carries the masks of its own fault set);
@@ -19,10 +19,15 @@ root) and verifies the invariants the running system enforces online:
   the fencing epoch is monotonic, and every non-purged study has its
   directory on disk.
 
-Findings are ``{"path", "check", "detail", "repaired"}`` rows; the CLI
-exits 0 when nothing (unrepaired) is wrong and 3 otherwise.  ``fsck``
-is deliberately read-only except for ``--repair``, which only ever
-truncates torn tails — the same repair the online loaders apply.
+Every JSONL file is read by :func:`repro.core.ioutil.scan_jsonl`, the
+scan the online readers and writers share (docs/robustness.md,
+"Append-only files and crashes"): a torn final line and a corrupt line
+with complete lines after it are both reported.  Findings are ``{"path",
+"check", "detail", "repaired"}`` rows; the CLI exits 0 when nothing
+(unrepaired) is wrong and 3 otherwise.  ``fsck`` is deliberately
+read-only except for ``--repair``, which only ever truncates torn
+tails — the same truncation every writer applies when it opens a file.
+A corrupt line is never repaired.
 
 What fsck does *not* re-verify is the deterministic mask stream
 against the unit seed — that is ingest validation's and the audit's
@@ -33,13 +38,15 @@ must stay runnable on any directory, corrupted or synthetic.
 from __future__ import annotations
 
 import hashlib
-import json
+import os
 from pathlib import Path
 
-from repro.core.outcome import GoldenReference, InjectionRecord
+from repro.core.ioutil import scan_jsonl
+from repro.core.outcome import GoldenReference
 from repro.core.parser import classify_all
+from repro.core.repository import decode_logs_row
 from repro.sched.journal import (AUDIT_VOID, DONE, FAILED, LEASED,
-                                 PENDING, QUARANTINED)
+                                 PENDING, QUARANTINED, JournalState)
 from repro.sched.study import EVENTS_NAME, JOURNAL_NAME
 from repro.svc.state import SERVICE_JOURNAL_NAME, STUDIES_DIR_NAME
 
@@ -52,83 +59,33 @@ def _finding(path, check: str, detail: str, repaired: bool = False) -> dict:
             "repaired": repaired}
 
 
-def _scan_jsonl(path: Path):
-    """Parse a JSONL file without mutating it.
-
-    Returns ``(rows, torn_at, corrupt_detail)``: *torn_at* is the byte
-    offset of a torn (crash-interrupted) final line, *corrupt_detail*
-    describes a bad line with complete lines after it — real
-    corruption no truncation can repair.
-    """
-    data = path.read_bytes()
-    rows: list[dict] = []
-    offset = 0
-    lines = data.split(b"\n")
-    for i, raw in enumerate(lines):
-        stripped = raw.strip()
-        if stripped:
-            try:
-                rows.append(json.loads(stripped))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                if all(not later.strip() for later in lines[i + 1:]):
-                    return rows, offset, None
-                return rows, None, (f"line {i + 1} is corrupt but "
-                                    f"complete lines follow it")
-        offset += len(raw) + 1
-    return rows, None, None
-
-
 def _check_jsonl(path: Path, findings: list, repair: bool,
                  check: str) -> list[dict] | None:
-    """Scan one JSONL file, reporting (and maybe repairing) tears.
+    """Scan one JSONL file, reporting (and maybe repairing) damage.
 
-    Returns the parsed rows, or None when the file is corrupt beyond
-    a tail truncation (the caller should not interpret partial rows).
+    Returns the parsed rows, or None when the file is missing,
+    unreadable or corrupt beyond a tail truncation (the caller should
+    not interpret partial rows).
     """
     if not path.exists():
         findings.append(_finding(path, check, "file is missing"))
         return None
     try:
-        rows, torn_at, corrupt = _scan_jsonl(path)
+        rows, torn_at, corrupt = scan_jsonl(path)
     except OSError as exc:
         findings.append(_finding(path, check, f"unreadable: {exc}"))
         return None
     if corrupt is not None:
         findings.append(_finding(path, check, corrupt))
-        return None
     if torn_at is not None:
-        repaired = False
         if repair:
-            with open(path, "r+b") as fh:
-                fh.truncate(torn_at)
-            repaired = True
+            os.truncate(path, torn_at)
         findings.append(_finding(
             path, check,
             f"torn final line at byte {torn_at}"
-            + (" (truncated)" if repaired else " (run with --repair)"),
-            repaired=repaired))
-    return rows
-
-
-def _replay_units(rows: list[dict]):
-    """(header, last-state map, done-row map) from journal rows."""
-    header = None
-    last: dict[str, dict] = {}
-    results: dict[str, dict] = {}
-    for row in rows:
-        kind = row.get("kind")
-        if kind == "study" and header is None:
-            header = row
-        elif kind == "unit":
-            uid = row.get("unit")
-            if not isinstance(uid, str):
-                continue
-            last[uid] = row
-            if row.get("state") == DONE:
-                results[uid] = row
-            elif row.get("state") == AUDIT_VOID:
-                results.pop(uid, None)
-    return header, last, results
+            + (" (truncated)" if repair else " (run with --repair)"),
+            repaired=repair))
+    return None if corrupt is not None else rows
 
 
 def _load_records(rows: list[dict], path, findings: list):
@@ -138,28 +95,23 @@ def _load_records(rows: list[dict], path, findings: list):
     seen = set()
     ok = True
     for n, row in enumerate(rows, 1):
-        kind, data = row.get("kind"), row.get("data")
         try:
-            if kind == "golden":
-                golden = GoldenReference.from_dict(data)
-            elif kind == "injection":
-                rec = InjectionRecord.from_dict(data)
-                if rec.set_id in seen:
-                    findings.append(_finding(
-                        path, "duplicate-set-id",
-                        f"set_id {rec.set_id} appears more than once"))
-                    ok = False
-                seen.add(rec.set_id)
-                records.append(rec)
-            else:
-                findings.append(_finding(
-                    path, "record-format",
-                    f"row {n} has unknown kind {kind!r}"))
-                ok = False
-        except (TypeError, AttributeError) as exc:
+            item = decode_logs_row(row)
+        except ValueError as exc:
             findings.append(_finding(path, "record-format",
                                      f"row {n}: {exc}"))
             ok = False
+            continue
+        if isinstance(item, GoldenReference):
+            golden = item
+            continue
+        if item.set_id in seen:
+            findings.append(_finding(
+                path, "duplicate-set-id",
+                f"set_id {item.set_id} appears more than once"))
+            ok = False
+        seen.add(item.set_id)
+        records.append(item)
     return golden, records, ok
 
 
@@ -171,14 +123,16 @@ def fsck_study(study_dir, repair: bool = False) -> list[dict]:
     rows = _check_jsonl(journal_path, findings, repair, "journal-parse")
     if rows is None:
         return findings
-    header, last, results = _replay_units(rows)
-    if header is None:
+    journal = JournalState()
+    for row in rows:
+        journal.apply(row)
+    if journal.spec_dict is None:
         findings.append(_finding(journal_path, "journal-header",
                                  "no study header row"))
         return findings
-    plan_units = set(header.get("units", []))
+    plan_units = set(journal.unit_ids)
     goldens: dict[tuple, tuple] = {}   # (setup, bench) -> (golden, unit)
-    for uid, row in sorted(last.items()):
+    for uid, row in sorted(journal.last.items()):
         if uid not in plan_units:
             findings.append(_finding(
                 journal_path, "journal-unknown-unit",
@@ -188,7 +142,7 @@ def fsck_study(study_dir, repair: bool = False) -> list[dict]:
             findings.append(_finding(
                 journal_path, "journal-bad-state",
                 f"unit {uid} has illegal state {state!r}"))
-    for uid, row in sorted(results.items()):
+    for uid, row in sorted(journal.results.items()):
         file_id = uid.replace("/", "__")
         logs_path = study_dir / "logs" / f"{file_id}.jsonl"
         masks_path = study_dir / "masks" / f"{file_id}.jsonl"

@@ -13,19 +13,20 @@ whether they are accepted, running, done or cancelled::
         └──▶ cancelled ◀──┘
 
 Same discipline as the unit journal: every append is flushed and
-``fsync``'d before the service acts on it, and replay tolerates a torn
-final line.  ``repro.tools svc serve`` killed at any point — SIGTERM,
-SIGKILL, power loss — replays ``service.jsonl``, reopens every
-non-terminal study's unit journal, and resumes with no unit lost and
-no completed unit re-run.
+``fsync``'d before the service acts on it, and replay and reopening
+follow the append-only rule of :mod:`repro.core.ioutil`
+(docs/robustness.md, "Append-only files and crashes").  ``repro.tools
+svc serve`` killed at any point — SIGTERM, SIGKILL, power loss —
+replays ``service.jsonl``, reopens every non-terminal study's unit
+journal, and resumes with no unit lost and no completed unit re-run.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
+
+from repro.core.ioutil import JSONLWriter, read_jsonl
 
 SERVICE_JOURNAL_NAME = "service.jsonl"
 STUDIES_DIR_NAME = "studies"
@@ -77,25 +78,23 @@ class StudyRecord:
         }
 
 
-class ServiceJournal:
+class ServiceJournal(JSONLWriter):
     """Append-only, fsync'd JSONL ledger of study lifecycle."""
 
     def __init__(self, path, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a")
+        super().__init__(path, fsync)
+        self.open()
 
     def record_submit(self, study_id: str, tenant: str, spec_dict: dict,
                       spec_hash: str, unit_ids) -> None:
-        self._append({"kind": "study", "id": study_id, "tenant": tenant,
-                      "spec": spec_dict, "spec_hash": spec_hash,
-                      "units": list(unit_ids), "ts": time.time()})
+        self.append({"kind": "study", "id": study_id, "tenant": tenant,
+                     "spec": spec_dict, "spec_hash": spec_hash,
+                     "units": list(unit_ids), "ts": time.time()})
 
     def record_state(self, study_id: str, state: str, **fields) -> None:
         """Journal one study lifecycle transition (durably, before acting)."""
-        self._append({"kind": "state", "id": study_id, "state": state,
-                      "ts": time.time(), **fields})
+        self.append({"kind": "state", "id": study_id, "state": state,
+                     "ts": time.time(), **fields})
 
     def record_epoch(self, epoch: int) -> None:
         """Journal one service incarnation (the fencing-token epoch).
@@ -105,40 +104,12 @@ class ServiceJournal:
         incarnation can never collide with a fresh one — a zombie
         worker's late ``complete`` is rejected by construction.
         """
-        self._append({"kind": "epoch", "epoch": epoch, "ts": time.time()})
+        self.append({"kind": "epoch", "epoch": epoch, "ts": time.time()})
 
     def record_gc(self, study_id: str, **fields) -> None:
         """Journal one retention-GC deletion (durably, before deleting)."""
-        self._append({"kind": "gc", "id": study_id, "ts": time.time(),
-                      **fields})
-
-    def _append(self, row: dict) -> None:
-        try:
-            self._fh.write(json.dumps(row) + "\n")
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-        except OSError as exc:
-            from repro.errors import CampaignError
-            raise CampaignError(
-                f"cannot append to service journal {self.path}: {exc} — "
-                f"the service cannot record durable state; free space "
-                f"or fix permissions, then run `repro.tools fsck "
-                f"--repair` on the service root before restarting") \
-                from exc
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        self.append({"kind": "gc", "id": study_id, "ts": time.time(),
+                     **fields})
 
 
 class ServiceState:
@@ -163,44 +134,40 @@ class ServiceState:
 
 
 def load_service(path) -> ServiceState:
-    """Replay a service journal, tolerating a torn final line."""
+    """Replay a service journal (an absent one is an empty ledger).
+
+    Skips a torn final line and raises ``ValueError`` on a corrupt line
+    with rows after it.
+    """
     state = ServiceState()
     path = Path(path)
     if not path.exists():
         return state
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                break                      # torn tail from a crash
-            kind = row.get("kind")
-            if kind == "study":
-                rec = StudyRecord(row["id"], row.get("tenant", "default"),
-                                  row.get("spec", {}),
-                                  row.get("spec_hash", ""),
-                                  row.get("units", []),
-                                  row.get("ts", 0.0))
-                state.studies[rec.study_id] = rec
-            elif kind == "state":
-                rec = state.studies.get(row["id"])
-                if rec is None:
-                    continue               # state for an unknown study
-                rec.state = row["state"]
-                if rec.terminal:
-                    rec.finished_ts = row.get("ts")
-                else:
-                    rec.finished_ts = None   # reopened (e.g. audit void)
-                rec.detail = row.get("detail", rec.detail)
-            elif kind == "epoch":
-                state.epoch = max(state.epoch, int(row.get("epoch", 0)))
-            elif kind == "gc":
-                rec = state.studies.get(row["id"])
-                if rec is not None:
-                    rec.purged = True
+    for row in read_jsonl(path):
+        kind = row.get("kind")
+        if kind == "study":
+            rec = StudyRecord(row["id"], row.get("tenant", "default"),
+                              row.get("spec", {}),
+                              row.get("spec_hash", ""),
+                              row.get("units", []),
+                              row.get("ts", 0.0))
+            state.studies[rec.study_id] = rec
+        elif kind == "state":
+            rec = state.studies.get(row["id"])
+            if rec is None:
+                continue                   # state for an unknown study
+            rec.state = row["state"]
+            if rec.terminal:
+                rec.finished_ts = row.get("ts")
+            else:
+                rec.finished_ts = None     # reopened (e.g. audit void)
+            rec.detail = row.get("detail", rec.detail)
+        elif kind == "epoch":
+            state.epoch = max(state.epoch, int(row.get("epoch", 0)))
+        elif kind == "gc":
+            rec = state.studies.get(row["id"])
+            if rec is not None:
+                rec.purged = True
     return state
 
 

@@ -394,6 +394,11 @@ def _cmd_sched_resume(args) -> int:
         print(f"repro.tools sched resume: no journal under "
               f"{args.study_dir}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"repro.tools sched resume: {exc} — check the study with "
+              f"`python -m repro.tools fsck {args.study_dir}`",
+              file=sys.stderr)
+        return 2
     return _run_scheduler(sched, resume=True, as_json=args.json)
 
 
@@ -532,18 +537,23 @@ def _cmd_svc_serve(args) -> int:
     import signal
 
     from repro.svc import CampaignService, ServiceServer
-    service = CampaignService(
-        args.root, workers=args.workers,
-        policies=dict(args.tenant or []),
-        default_policy=args.default_policy,
-        aging_s=args.aging_s, unit_timeout_s=args.unit_timeout_s,
-        max_retries=args.retries, backoff_s=args.backoff_s,
-        fsync=not args.no_fsync, heartbeat_s=args.heartbeat_s,
-        lease_heartbeat_s=args.lease_heartbeat_s,
-        miss_budget=args.miss_budget,
-        attest=not args.no_attest, audit_fraction=args.audit_fraction,
-        audit_seed=args.audit_seed, challenge=args.challenge,
-        reject_limit=args.reject_limit)
+    try:
+        service = CampaignService(
+            args.root, workers=args.workers,
+            policies=dict(args.tenant or []),
+            default_policy=args.default_policy,
+            aging_s=args.aging_s, unit_timeout_s=args.unit_timeout_s,
+            max_retries=args.retries, backoff_s=args.backoff_s,
+            fsync=not args.no_fsync, heartbeat_s=args.heartbeat_s,
+            lease_heartbeat_s=args.lease_heartbeat_s,
+            miss_budget=args.miss_budget,
+            attest=not args.no_attest, audit_fraction=args.audit_fraction,
+            audit_seed=args.audit_seed, challenge=args.challenge,
+            reject_limit=args.reject_limit)
+    except ValueError as exc:
+        print(f"repro.tools svc serve: {exc} — check the root with "
+              f"`python -m repro.tools fsck {args.root}`", file=sys.stderr)
+        return 2
     server = ServiceServer(service, host=args.host, port=args.port,
                            token=_svc_token(args))
     terminated = []

@@ -208,6 +208,16 @@ class TestAppendFailure:
         assert str(path) in message
         assert "fsck --repair" in message
 
+    def test_fsync_set_after_attach_applies(self, tmp_path, monkeypatch):
+        # The sched worker turns fsync on after the campaign has built
+        # its repositories: the next append must still be fsync'd.
+        repo = LogsRepository(tmp_path / "logs.jsonl")
+        repo.fsync = True
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        repo.add(record(0))
+        assert synced
+
     def test_masks_append_oserror(self, tmp_path, monkeypatch):
         path = tmp_path / "masks.jsonl"
         repo = MasksRepository(path, fsync=True)

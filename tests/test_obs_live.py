@@ -8,6 +8,7 @@ and then watch its directory the way ``obs serve`` and ``sched status
 
 import json
 import math
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -52,6 +53,22 @@ class TestJSONLTailer:
         with open(path, "a") as fh:
             fh.write('n": true}\n{"a": 4}\n')
         assert tail.poll() == [{"a": 3, "torn": True}, {"a": 4}]
+
+    def test_no_splice_across_a_tail_repair(self, tmp_path):
+        # A writer reopening after a crash truncates the torn tail and
+        # appends a fresh row: the tailer must read that row whole, not
+        # glue the dead fragment onto the new row's suffix.
+        path = tmp_path / "s.jsonl"
+        good = '{"a": 1}\n'
+        path.write_text(good + '{"unit": "u", "state": "do')
+        tail = JSONLTailer(path)
+        assert tail.poll() == [{"a": 1}]
+        os.truncate(path, len(good))
+        with open(path, "a") as fh:
+            fh.write('{"unit": "u", "state": "leased", "attempt": 2}\n')
+        assert tail.poll() == [{"unit": "u", "state": "leased",
+                                "attempt": 2}]
+        assert tail.bad_lines == 0
 
     def test_missing_file_is_empty_not_error(self, tmp_path):
         tail = JSONLTailer(tmp_path / "absent.jsonl")
@@ -231,6 +248,32 @@ class TestStudyView:
         assert view.complete()
         assert view.injections_done() == 4
         assert [t["seq"] for t in view.transitions] == [0, 1]
+
+    def test_audit_void_returns_unit_to_pending(self, tmp_path):
+        # Two done units, then attestation voids one: the view must
+        # agree with the journal's own replay.
+        units = ["u/a/b/c", "u/a/b/d"]
+        rows = [{"kind": "study", "spec": {"injections": 4},
+                 "spec_hash": "cafe", "units": units, "shard": None,
+                 "ts": 1000.0}]
+        for uid in units:
+            rows.append({"kind": "unit", "unit": uid, "state": "leased",
+                         "attempt": 1, "ts": 1001.0})
+            rows.append({"kind": "unit", "unit": uid, "state": "done",
+                         "counts": {"Masked": 4}, "injections": 4,
+                         "ts": 1002.0})
+        rows.append({"kind": "unit", "unit": units[1],
+                     "state": "audit_void", "worker": "w1",
+                     "ts": 1003.0})
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        view = load_study_view(tmp_path)
+        state = load_journal(journal)
+        assert view.tally() == state.tally()
+        assert view.tally()["pending"] == 1
+        assert not view.complete()
+        assert view.state() == "running"
+        assert view.injections_done() == 4
 
     def test_stall_detection_from_lease_age(self, tmp_path):
         journal = tmp_path / "journal.jsonl"

@@ -1,6 +1,7 @@
 """Write-ahead journal: append, replay, crash tolerance."""
 
 import json
+import re
 
 import pytest
 
@@ -78,6 +79,32 @@ class TestCrashTolerance:
             fh.write('{"kind": "unit", "unit": "x", "sta')   # the crash
         state = load_journal(path)
         assert state.state_of(uid) == DONE
+
+    def test_mid_file_corruption_raises(self, tmp_path):
+        # A bad line with complete lines after it is damage, not a torn
+        # tail: replay must refuse rather than stop short silently.
+        path = tmp_path / "journal.jsonl"
+        uid = UNITS[0]
+        write_study(path, [(uid, LEASED, {"attempt": 1}),
+                           (uid, DONE, {"counts": {"Masked": 4}})])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:2: corrupt")):
+            load_journal(path)
+
+    def test_reopen_truncates_torn_tail(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        uid = UNITS[0]
+        write_study(path, [(uid, LEASED, {"attempt": 1})])
+        good = path.read_text()
+        with open(path, "a") as fh:
+            fh.write('{"kind": "unit", "unit": "x", "sta')   # the crash
+        with Journal(path) as j:           # a resumed scheduler
+            assert path.read_text() == good
+            j.record(uid, DONE, counts={"Masked": 4})
+        assert load_journal(path).state_of(uid) == DONE
 
     def test_no_header_raises(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -208,6 +208,42 @@ class TestScheduler:
             assert expected in names
 
 
+class TestTornTailResume:
+    """A study killed mid-append resumes into a directory every reader
+    agrees on: the writers truncate the torn tails before appending."""
+
+    @pytest.mark.filterwarnings("ignore:.*torn trailing line")
+    def test_resume_over_torn_journal_and_events(self, tmp_path):
+        from repro.obs.live import load_study_view
+        from repro.obs.summarize import load_events
+        sp = spec(setups=(TWO_SETUPS[0],), structures=("int_rf", "l1d"),
+                  injections=2)
+        study_dir = tmp_path / "study"
+        assert run_study(sp, study_dir, workers=1, fsync=False).ok
+        journal = study_dir / "journal.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        last_done = max(i for i, line in enumerate(lines)
+                        if json.loads(line).get("state") == DONE)
+        del lines[last_done]
+        journal.write_text("".join(lines)
+                           + '{"kind": "unit", "unit": "x", "sta')
+        with open(study_dir / "events.jsonl", "a") as fh:
+            fh.write('{"name": "inject_end", "ts": 1')
+
+        resumed = Scheduler.resume(study_dir, workers=1,
+                                   fsync=False).run(resume=True)
+        assert resumed.ok
+        assert fsck_study(study_dir) == []
+        assert merge_studies([study_dir])["complete"]
+        assert load_study_view(study_dir).tally() == \
+            study_status(study_dir)["tally"]
+        attempts = load_journal(journal).attempts
+        Scheduler.resume(study_dir, workers=1, fsync=False).run(resume=True)
+        assert load_journal(journal).attempts == attempts
+        assert load_events(study_dir / "events.jsonl")[-1]["name"] == \
+            "study_end"
+
+
 class TestFailurePolicy:
     def test_retry_then_success(self, tmp_path, monkeypatch):
         sp = spec(setups=(TWO_SETUPS[0],))

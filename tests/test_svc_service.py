@@ -8,6 +8,7 @@ no simulation runs at all.
 """
 
 import json
+import re
 import socket
 import threading
 import time
@@ -94,6 +95,48 @@ class TestServiceJournal:
             fh.write('{"kind": "state", "id": "s0001-ab')   # the crash
         state = load_service(path)
         assert state.studies["s0001-abc123"].state == "accepted"
+
+    def test_mid_file_corruption_raises(self, tmp_path):
+        path = tmp_path / "service.jsonl"
+        with ServiceJournal(path, fsync=False) as j:
+            j.record_epoch(1)
+            j.record_submit("s0001-abc123", "alice", {}, "abc123", ["u1"])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0][:15] + "\n" + lines[1])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:1: corrupt")):
+            load_service(path)
+
+    def test_restart_over_torn_ledger(self, tmp_path):
+        # The crash tore the ledger's last row.  The next incarnation's
+        # epoch row and the study it admits must both replay, and the
+        # incarnation after it must mint a higher epoch again.
+        ledger = tmp_path / "service.jsonl"
+        with CampaignService(tmp_path, workers=1, fsync=False):
+            pass
+        with open(ledger, "a") as fh:
+            fh.write('{"kind": "state", "id": "s0001-ab')   # the crash
+        with CampaignService(tmp_path, workers=1, fsync=False) as svc:
+            assert svc.state.epoch == 2
+            sid = svc.submit(spec(), tenant="alice")
+        state = load_service(ledger)
+        assert list(state.studies) == [sid]
+        assert state.epoch == 2
+        with CampaignService(tmp_path, workers=1, fsync=False) as svc:
+            assert svc.state.epoch == 3
+        assert load_service(ledger).epoch == 3
+
+    def test_serve_over_corrupt_ledger_points_at_fsck(self, tmp_path,
+                                                      capsys):
+        from repro import tools
+        (tmp_path / "service.jsonl").write_text(
+            '{"kind": "epoch", "ep\n{"kind": "epoch", "epoch": 2}\n')
+        rc = tools.main(["svc", "serve", "--root", str(tmp_path),
+                         "--port", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "service.jsonl:1: corrupt" in err
+        assert "repro.tools fsck" in err
 
     def test_state_for_unknown_study_ignored(self, tmp_path):
         path = tmp_path / "service.jsonl"

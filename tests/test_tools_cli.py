@@ -250,6 +250,22 @@ class TestSchedCommands:
         assert rc == 2
         assert "no journal" in capsys.readouterr().err
 
+    def test_resume_of_corrupt_journal_points_at_fsck(self, tmp_path,
+                                                      capsys):
+        from repro.sched import Journal
+        study = tmp_path / "study"
+        with Journal(study / "journal.jsonl", fsync=False) as journal:
+            journal.write_header({"seed": 7}, ["u"])
+            journal.record("u", "leased", attempt=1)
+        lines = (study / "journal.jsonl").read_text().splitlines()
+        (study / "journal.jsonl").write_text(
+            lines[0][:30] + "\n" + lines[1] + "\n")
+        rc = tools.main(["sched", "resume", str(study)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "journal.jsonl:1: corrupt" in err
+        assert "repro.tools fsck" in err
+
     def test_bad_shard_syntax(self, tmp_path):
         with pytest.raises(SystemExit):
             tools.main(["sched", "run", "--out", str(tmp_path / "s"),
