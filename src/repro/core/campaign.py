@@ -23,10 +23,9 @@ from repro.core.parser import DEFAULT_POLICY, ParserPolicy, classify_all, \
     vulnerability
 from repro.core.repository import LogsRepository, MasksRepository
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (CampaignTelemetry, record_classify,
-                               record_golden, record_injection,
-                               record_maskgen, record_pruned)
-from repro.obs.trace import JSONLSink, NULL_TRACER, Tracer
+from repro.obs.profile import CampaignTelemetry
+from repro.obs.trace import JSONLSink, MetricsSink, NULL_TRACER, TeeSink, \
+    Tracer
 from repro.prune import (PRUNE_OFF, PRUNE_POLICIES, TraceCache, audit_plan,
                          build_prune_plan, synthetic_masked_record)
 from repro.sim.config import SimConfig, setup_config
@@ -54,14 +53,11 @@ class CampaignResult:
     telemetry: CampaignTelemetry | None = field(default=None,
                                                 compare=False, repr=False)
     _tracer: object = field(default=None, compare=False, repr=False)
-    _metrics: object = field(default=None, compare=False, repr=False)
 
     def classify(self, policy: ParserPolicy = DEFAULT_POLICY) -> dict:
         t0 = time.perf_counter()
         counts = classify_all(self.records, self.golden, policy)
         wall_s = time.perf_counter() - t0
-        if self._metrics is not None:
-            record_classify(self._metrics, wall_s)
         if self.telemetry is not None:
             self.telemetry.classify_s += wall_s
         if self._tracer is not None:
@@ -158,6 +154,10 @@ class InjectionCampaign:
     (:func:`repro.core.parallel.pool_inject`).  A reused masks or logs
     file must hold this campaign's own stream: it then resumes, and
     anything else is refused before either file is written.
+
+    Each measurement is one event: the campaign tees the caller's
+    tracer, if any, into a :class:`~repro.obs.trace.MetricsSink` over
+    :attr:`metrics`.
     """
 
     def __init__(self, config: SimConfig, program, benchmark_name: str,
@@ -187,8 +187,9 @@ class InjectionCampaign:
         self.trace_cache = trace_cache
         self._plan = None
         self._prune_stats = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        caller = tracer if tracer is not None else NULL_TRACER
+        self.tracer = Tracer(TeeSink(caller.sink, MetricsSink(self.metrics)))
         self.dispatcher = InjectorDispatcher(config, program,
                                              n_checkpoints=n_checkpoints,
                                              tracer=self.tracer,
@@ -204,8 +205,6 @@ class InjectionCampaign:
         golden, trace, trace_source = golden_with_trace(
             self.dispatcher, self.benchmark_name, self.prune,
             self.trace_cache, self.tracer)
-        if self.dispatcher.golden_sample is not None:    # not adopted
-            record_golden(self.metrics, self.dispatcher.golden_sample)
         # The dispatcher's machine already exists; no throwaway simulator.
         sites = self.dispatcher.fault_sites()
         if self.structure not in sites:
@@ -219,7 +218,6 @@ class InjectionCampaign:
         sets = draw_masks(info, golden.cycles, self.seed, self.fault_type,
                           injections, confidence, error_margin)
         wall_s = time.perf_counter() - t0
-        record_maskgen(self.metrics, wall_s, len(sets))
         self.tracer.emit("maskgen_end", structure=self.structure,
                          masks=len(sets), wall_s=wall_s)
         stream = {fs.set_id: fs.to_dict()["masks"] for fs in sets}
@@ -262,8 +260,7 @@ class InjectionCampaign:
                                 benchmark=self.benchmark_name,
                                 structure=self.structure,
                                 golden=golden,
-                                _tracer=self.tracer,
-                                _metrics=self.metrics)
+                                _tracer=self.tracer)
         decide = plan.decision if plan is not None else lambda set_id: None
         simulated = self._simulate(
             [fs for fs in sets if fs.set_id not in logged
@@ -274,16 +271,15 @@ class InjectionCampaign:
                 if record is None:
                     decision = decide(fault_set.set_id)
                     if decision is None:
-                        record, sample = next(simulated)
-                        record_injection(self.metrics, record, sample)
+                        record = next(simulated)
                         if record.early_stop is not None:
                             result.early_stops += 1
                     else:
                         record = synthetic_masked_record(fault_set, golden,
                                                          decision[1])
-                        record_pruned(self.metrics, record)
                         self.tracer.emit("pruned", set_id=fault_set.set_id,
-                                         rule=decision[1])
+                                         rule=decision[1],
+                                         structure=self.structure)
                     self.logs.add(record)
                 result.records.append(record)
                 if progress is not None:
@@ -295,11 +291,18 @@ class InjectionCampaign:
         if plan is not None:
             result.prune = dict(self._prune_stats)
             if self.audit:
-                verdict = audit_plan(
-                    self.dispatcher, {fs.set_id: fs for fs in sets},
-                    {rec.set_id: rec for rec in result.records}, plan,
-                    golden, self.audit, self.seed,
-                    early_stop=self.early_stop)
+                # The audit re-simulates pruned masks to check their
+                # verdicts; its runs are no injections of this campaign,
+                # so they are neither traced nor measured.
+                self.dispatcher.tracer = NULL_TRACER
+                try:
+                    verdict = audit_plan(
+                        self.dispatcher, {fs.set_id: fs for fs in sets},
+                        {rec.set_id: rec for rec in result.records}, plan,
+                        golden, self.audit, self.seed,
+                        early_stop=self.early_stop)
+                finally:
+                    self.dispatcher.tracer = self.tracer
                 result.prune["audit"] = verdict
                 self.tracer.emit("prune_audit",
                                  checked=verdict["checked"],
@@ -317,15 +320,15 @@ class InjectionCampaign:
         return result
 
     def _simulate(self, sets):
-        """``(record, sample)`` per fault set, in order: inline, or from
-        the process pool when *workers* > 0."""
+        """The record of each fault set, in order: inline, or from the
+        process pool when *workers* > 0."""
         if self.workers > 0 and sets:
             from repro.core.parallel import pool_inject
             return pool_inject(self.dispatcher, sets, self.workers,
                                self.early_stop)
         dispatcher = self.dispatcher
-        return ((dispatcher.inject(fs, early_stop=self.early_stop),
-                 dispatcher.last_sample) for fs in sets)
+        return (dispatcher.inject(fs, early_stop=self.early_stop)
+                for fs in sets)
 
 
 def default_injections() -> int:

@@ -43,10 +43,11 @@ class CheckpointStore:
         self.snapshot_s = 0.0     # wall time spent taking snapshots
         self._nbytes: int | None = None
 
-    def maybe_take(self, sim) -> None:
-        """Snapshot *sim* if it just crossed an interval boundary."""
+    def maybe_take(self, sim) -> bool:
+        """Snapshot *sim* if it just crossed an interval boundary;
+        returns whether it did."""
         if sim.cycle < self._next_due:
-            return
+            return False
         self.take(sim)
         if len(self._snaps) >= self.max_snaps:
             self._snaps = self._snaps[1::2]
@@ -56,6 +57,7 @@ class CheckpointStore:
         # deriving the due point from the last retained one would lag the
         # schedule by up to a full interval.
         self._next_due = sim.cycle + self.interval
+        return True
 
     def take(self, sim) -> None:
         t0 = time.perf_counter()

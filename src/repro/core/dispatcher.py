@@ -33,7 +33,6 @@ from repro.guard.containment import (OpBudgetExceeded, WatchdogTimeout,
 from repro.guard.integrity import (IntegrityVerifier, chaos_leak,
                                    chaos_leak_due)
 from repro.guard.invariants import InvariantViolation, check_invariants
-from repro.obs.profile import GoldenSample, InjectionSample
 from repro.obs.trace import NULL_TRACER
 from repro.sim.base import RunOutcome
 from repro.sim.gem5 import build_sim
@@ -68,7 +67,6 @@ class InjectorDispatcher:
                            if self.guard.integrity_every else None)
         self._restores_seen = 0
         self._checks_base = 0
-        self._contam_base = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: When set before :meth:`run_golden`, the golden run records the
         #: per-entry access trace of the paper structures for the
@@ -78,9 +76,8 @@ class InjectorDispatcher:
         self.record_trace = record_trace
         self.access_trace = None
         self.golden: GoldenReference | None = None
+        #: Set by :meth:`run_golden` only: None after :meth:`adopt_golden`.
         self.golden_outcome: RunOutcome | None = None
-        self.golden_sample: GoldenSample | None = None
-        self.last_sample: InjectionSample | None = None
         self.checkpoints: CheckpointStore | None = None
         self.checkpoint_bytes = 0
         self._sim = None          # the one reusable machine
@@ -109,14 +106,9 @@ class InjectorDispatcher:
         try:
             while sim.cycle < self.max_golden_cycles:
                 sim.step()
-                if tracer.enabled:
-                    n_before = store.count
-                    store.maybe_take(sim)
-                    if store.count > n_before:
-                        tracer.emit("checkpoint_taken", cycle=sim.cycle,
-                                    snapshots=store.count)
-                else:
-                    store.maybe_take(sim)
+                if store.maybe_take(sim):
+                    tracer.emit("checkpoint_taken", cycle=sim.cycle,
+                                snapshots=store.count)
                 if sim.cycle - sim.last_commit_cycle > self.deadlock_window:
                     raise CampaignError("golden run deadlocked")
         except ProcessExit as ex:
@@ -139,9 +131,6 @@ class InjectorDispatcher:
         self.checkpoint_bytes = store.nbytes + state_nbytes(self._pristine)
         wall_s = time.perf_counter() - t0
         snapshot_s = pristine_s + store.snapshot_s
-        self.golden_sample = GoldenSample(
-            wall_s=wall_s, cycles=outcome.cycles, checkpoints=store.count,
-            snapshot_s=snapshot_s, checkpoint_bytes=self.checkpoint_bytes)
         if self._integrity is not None:
             self._integrity.seal(self._pristine, store)
         tracer.emit("golden_end", cycles=outcome.cycles, wall_s=wall_s,
@@ -244,7 +233,6 @@ class InjectorDispatcher:
         watchdog_s = guard.watchdog_deadline(self.timeout_s)
         if self._integrity is not None:
             self._checks_base = self._integrity.checks
-            self._contam_base = self._integrity.contaminations
 
         self._inject_t0 = time.perf_counter()
         deadline = (self._inject_t0 + self.timeout_s
@@ -405,28 +393,25 @@ class InjectorDispatcher:
             # outcomes stay wall-time-free so records remain replayable
             # byte-for-byte.
             record.elapsed_s = round(wall_s, 6)
-        integrity_checks = contaminations = 0
+        integrity_checks = 0
         if self._integrity is not None:
             integrity_checks = self._integrity.checks - self._checks_base
-            contaminations = (self._integrity.contaminations
-                              - self._contam_base)
-        sample = InjectionSample(set_id=record.set_id,
-                                 wall_s=wall_s,
-                                 restore_cycle=self._restore_cycle,
-                                 end_cycle=record.cycles,
-                                 restore_s=self._restore_s,
-                                 integrity_checks=integrity_checks,
-                                 contaminations=contaminations)
-        self.last_sample = sample
         if record.early_stop is not None:
             self.tracer.emit("early_stop", set_id=record.set_id,
                              reason=record.early_stop, cycle=record.cycles)
-        self.tracer.emit("inject_end", set_id=record.set_id,
-                         reason=reason, early_stop=record.early_stop,
-                         invariant=record.invariant,
-                         cycles=record.cycles,
-                         sim_cycles=sample.sim_cycles,
-                         saved_cycles=sample.restore_cycle,
-                         wall_s=sample.wall_s,
-                         restore_s=sample.restore_s)
+        self.emit_inject_end(record, wall_s, self._restore_cycle,
+                             self._restore_s, integrity_checks)
         return record
+
+    def emit_inject_end(self, record: InjectionRecord, wall_s: float = 0.0,
+                        restore_cycle: int = 0, restore_s: float = 0.0,
+                        integrity_checks: int = 0) -> None:
+        """Emit ``inject_end``, the one measurement of an injection run
+        (a pool worker's crash record takes the defaults)."""
+        self.tracer.emit("inject_end", set_id=record.set_id,
+                         reason=record.reason, early_stop=record.early_stop,
+                         invariant=record.invariant, cycles=record.cycles,
+                         sim_cycles=max(record.cycles - restore_cycle, 0),
+                         saved_cycles=restore_cycle, wall_s=wall_s,
+                         restore_s=restore_s,
+                         integrity_checks=integrity_checks)

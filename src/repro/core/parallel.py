@@ -14,13 +14,12 @@ checkpoint snapshots are plain picklable containers — and shipped
 compressed to every worker through the pool initializer, together with
 the ``SimConfig`` and ``Program``.  Workers adopt the shipped golden
 run instead of re-running it, so a worker's first injection starts as
-fast as its last.  Each worker ships its per-run
-:class:`~repro.obs.profile.InjectionSample` *and* its trace events
+fast as its last.  Each worker ships its trace events
 (``inject_start``/``checkpoint_restored``/``cold_start``/``early_stop``/
-``inject_end``) home with the record; the campaign folds the samples
-into its metrics registry and the events are replayed into its own
-sink, so both the merged metrics and an ``obs summarize`` report match
-the serial campaign's.
+``inject_end``) home with the record, and nothing else: the events are
+replayed into the campaign's tracer, which folds them into its metrics
+registry, so both the metrics and an ``obs summarize`` report match the
+serial campaign's.
 
 On a single-core host this adds no speed but is exercised by the tests
 for correctness (parallel == serial logs, byte for byte).
@@ -37,7 +36,6 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import TRANSIENT, FaultSet
 from repro.core.outcome import GoldenReference, InjectionRecord
-from repro.obs.profile import InjectionSample
 from repro.obs.trace import TraceEvent, Tracer
 from repro.prune import PRUNE_OFF, AccessTrace
 
@@ -123,7 +121,6 @@ def _worker_run(fault_set_dict: dict) -> dict:
     try:
         record = dispatcher.inject(fault_set,
                                    early_stop=_WORKER_STATE["early_stop"])
-        sample = dispatcher.last_sample
     except Exception as exc:
         # A worker must never take down (or hang) the pool: anything the
         # dispatcher did not already classify becomes a simulator-crash
@@ -134,16 +131,14 @@ def _worker_run(fault_set_dict: dict) -> dict:
             masks=[m.to_dict() for m in fault_set.masks],
             reason="sim-crash",
             detail=f"worker: {type(exc).__name__}: {exc}")
-        sample = InjectionSample(set_id=fault_set.set_id)
-    return {"record": record.to_dict(),
-            "sample": sample.to_dict(),
-            "events": list(sink.rows)}
+        dispatcher.emit_inject_end(record)
+    return {"record": record.to_dict(), "events": list(sink.rows)}
 
 
 def pool_inject(dispatcher: InjectorDispatcher, sets: list[FaultSet],
                 workers: int, early_stop: bool):
-    """Simulate *sets* on *workers* processes; yields ``(record,
-    sample)`` per set, in set order.
+    """Simulate *sets* on *workers* processes; yields the record of
+    each set, in set order.
 
     Every worker adopts *dispatcher*'s golden run and builds its own
     dispatcher with the same checkpoint count, timeout and guard — so
@@ -162,13 +157,11 @@ def pool_inject(dispatcher: InjectorDispatcher, sets: list[FaultSet],
                   initargs=initargs) as pool:
         for row in pool.imap(_worker_run, [fs.to_dict() for fs in sets],
                              chunksize=max(len(sets) // (workers * 4), 1)):
-            if tracer.enabled:
-                # The worker's own trace (restore/cold-start/early-stop
-                # detail included), original stamps kept.
-                for ev in row["events"]:
-                    tracer.sink.write(TraceEvent.from_dict(ev))
-            yield (InjectionRecord.from_dict(row["record"]),
-                   InjectionSample.from_dict(row["sample"]))
+            # The worker's own trace (restore/cold-start/early-stop
+            # detail included), original stamps kept.
+            for ev in row["events"]:
+                tracer.sink.write(TraceEvent.from_dict(ev))
+            yield InjectionRecord.from_dict(row["record"])
 
 
 def run_campaign_parallel(setup: str, benchmark: str, structure: str,

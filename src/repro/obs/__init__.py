@@ -7,16 +7,19 @@ zero-cost-by-default:
 
 * :mod:`repro.obs.trace` — typed, timestamped events
   (``golden_start`` … ``campaign_end``) to pluggable sinks: null
-  (default), in-memory ring buffer, JSONL file.
+  (default), in-memory ring buffer, JSONL file, and the
+  :class:`MetricsSink` every campaign tees its stream into.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
-  :class:`MetricsRegistry` that serialises and merges across worker
-  processes, so parallel campaigns report the same numbers as serial.
-* :mod:`repro.obs.profile` — per-phase wall-time samples and the
-  :class:`CampaignTelemetry` summary attached to every
-  ``CampaignResult``.
+  :class:`MetricsRegistry`, and :func:`fold_event`, the one place
+  campaign events become metrics.  Pool workers and study units ship
+  their events home and the parent folds them, so parallel campaigns
+  and studies report the same numbers as serial.
+* :mod:`repro.obs.profile` — the :class:`CampaignTelemetry` summary of
+  a registry, attached to every ``CampaignResult``.
 
 ``repro.tools obs summarize events.jsonl`` renders a captured event
-stream as a report (see :mod:`repro.obs.summarize`), and the live
+stream as a report through the same fold (see
+:mod:`repro.obs.summarize`), and the live
 layer watches a *running* study directory: :mod:`repro.obs.live` tails
 journal/event/log streams into a rolling :class:`StudyView` with
 Wilson-interval convergence tracking (:mod:`repro.obs.convergence`),
@@ -34,28 +37,23 @@ from repro.obs.convergence import (cell_convergence, proportion_ci,
 from repro.obs.live import (JSONLTailer, StudyView, UnitView,
                             load_study_view)
 from repro.obs.metrics import (Counter, Gauge, Histogram, METRIC_NAMES,
-                               MetricsRegistry)
-from repro.obs.profile import (CampaignTelemetry, GoldenSample,
-                               InjectionSample, record_classify,
-                               record_golden, record_injection,
-                               record_maskgen)
+                               MetricsRegistry, fold_event)
+from repro.obs.profile import CampaignTelemetry
 from repro.obs.report import render_html, report_study
 from repro.obs.server import StatusServer, serve_study
 from repro.obs.summarize import (SummaryAccumulator,
                                  load_events as load_event_dicts,
                                  render_report, summarize_events,
                                  summarize_file)
-from repro.obs.trace import (EVENT_NAMES, JSONLSink, NULL_TRACER, NullSink,
-                             RingBufferSink, TeeSink, TraceEvent, Tracer,
-                             load_events)
+from repro.obs.trace import (EVENT_NAMES, JSONLSink, MetricsSink,
+                             NULL_TRACER, NullSink, RingBufferSink, TeeSink,
+                             TraceEvent, Tracer, load_events)
 
 __all__ = [
     "Tracer", "TraceEvent", "NullSink", "RingBufferSink", "JSONLSink",
-    "TeeSink", "NULL_TRACER", "EVENT_NAMES", "load_events",
+    "TeeSink", "MetricsSink", "NULL_TRACER", "EVENT_NAMES", "load_events",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "METRIC_NAMES",
-    "GoldenSample", "InjectionSample", "CampaignTelemetry",
-    "record_golden", "record_maskgen", "record_injection",
-    "record_classify",
+    "fold_event", "CampaignTelemetry",
     "summarize_events", "render_report", "summarize_file",
     "load_event_dicts", "SummaryAccumulator",
     "wilson_interval", "proportion_ci", "cell_convergence",

@@ -329,7 +329,7 @@ class StudyView:
         if rate <= 0.0:
             # Fall back to the historical per-injection wall time from
             # the event stream's time histograms.
-            lat = self.accumulator.inject_hist
+            lat = self.accumulator.metrics.histogram("time.inject_s")
             if lat.count == 0:
                 return None
             rate = 1.0 / max(lat.mean, 1e-9)

@@ -4,74 +4,148 @@ A :class:`MetricsRegistry` aggregates one campaign's statistics —
 injection counts, outcome distribution, early-stop hits by reason,
 cycles simulated vs cycles skipped by checkpoint restores, per-phase
 wall times.  Registries serialise to plain dicts and merge
-associatively, which is what lets ``run_campaign_parallel`` report the
-same numbers as the serial path: each worker's per-run deltas are
-shipped back with the record and folded into the parent registry.
+associatively.  A campaign's events are the one record of what it
+measured, and :func:`fold_event` is the only place that turns them
+into metrics: for the campaign itself, for the events pool workers and
+study units ship home, and for ``obs summarize``.
 
-Metric names are dotted strings; the campaign stack uses the fixed
-vocabulary in :data:`METRIC_NAMES` (see docs/observability.md).
+Metric names are dotted strings; the stack uses the fixed vocabulary in
+:data:`METRIC_NAMES` (see docs/observability.md).
 """
 
 from __future__ import annotations
 
 import math
 
-# The metric vocabulary the campaign stack emits.  Families ending in a
-# dot are label-suffixed at runtime (e.g. ``outcomes.exit``).
+# The metric vocabulary the stack emits.  Families ending in a dot are
+# label-suffixed at runtime (e.g. ``outcomes.exit``).
 METRIC_NAMES = {
-    "injections_total": "counter — injection runs completed",
+    "injections_total": "counter — classified injections, simulated or "
+                        "pruned (audit re-simulations excluded)",
     "masks_generated": "counter — fault sets produced by the generator",
-    "outcomes.": "counter family — runs by raw reason (exit, killed, "
-                 "panic, deadlock, cycle-limit, assert, sim-crash)",
+    "outcomes.": "counter family — injections by raw reason (exit, "
+                 "killed, panic, deadlock, cycle-limit, wall-clock, "
+                 "op-budget, assert, sim-crash); pruned ones are exit",
     "early_stops.": "counter family — §III.B early stops by reason "
                     "(invalid-entry, overwritten)",
     "prune.masked": "counter — masks pre-classified Masked by the "
                     "golden-trace analyzer (no simulation)",
-    "prune.structure.": "counter family — pruned masks by target "
-                        "structure (rate denominator is the campaign's "
-                        "mask count)",
-    "guard.integrity_checks": "counter — restore digests verified by "
-                              "the integrity guard",
-    "guard.contamination": "counter — contaminated-state incidents "
-                           "(machine condemned and rebuilt)",
-    "guard.invariant_violations": "counter — faulty runs stopped by a "
-                                  "guard invariant (Assert class)",
-    "guard.invariant.": "counter family — invariant violations by "
-                        "invariant name",
+    "prune.structure.": "counter family — pruned masks by structure",
+    "guard.integrity_checks": "counter — restore digests verified",
+    "guard.contamination": "counter — machines condemned and rebuilt",
+    "guard.invariant_violations": "counter — runs stopped by an invariant",
+    "guard.invariant.": "counter family — violations by invariant name",
     "cycles.simulated": "counter — faulty cycles actually stepped",
     "cycles.saved": "counter — cycles skipped by checkpoint restores",
-    "checkpoint.restores": "counter — injection runs started from a "
-                           "snapshot",
-    "checkpoint.cold_starts": "counter — injection runs started from "
-                              "reset",
+    "checkpoint.restores": "counter — injections started from a snapshot",
+    "checkpoint.cold_starts": "counter — injections started from reset",
+    "checkpoint.bytes": "counter — pickled pristine state plus snapshots, "
+                        "summed over golden runs",
     "golden.cycles": "gauge — golden run length in cycles",
     "golden.checkpoints": "gauge — snapshots captured by the golden run",
     "time.golden_s": "histogram — golden run wall time",
     "time.maskgen_s": "histogram — mask generation wall time",
     "time.inject_s": "histogram — per-injection wall time",
     "time.classify_s": "histogram — classification wall time",
+    "time.snapshot_s": "histogram — snapshot taking per golden run",
+    "time.restore_s": "histogram — snapshot restore per injection",
     "time.unit_s": "histogram — per-unit wall time (scheduler)",
     "sched.units_done": "counter — study units completed",
     "sched.units_failed": "counter — unit attempts that failed",
     "sched.retries": "counter — failed units re-queued for another try",
-    "sched.timeouts": "counter — unit leases killed by the wall-clock "
-                      "timeout",
-    "sched.quarantined": "counter — poison units retired after exhausting "
-                         "their retries",
+    "sched.timeouts": "counter — leases killed by the wall-clock timeout",
+    "sched.quarantined": "counter — units retired after their retries",
     "sched.queue_depth": "gauge — units waiting or running right now",
     "svc.studies_submitted": "counter — studies admitted by the service",
     "svc.studies_done": "counter — service studies run to completion",
     "svc.studies_cancelled": "counter — service studies cancelled",
-    "svc.quota_rejections": "counter — submissions refused by a tenant "
-                            "quota (HTTP 429)",
+    "svc.quota_rejections": "counter — submissions refused by a quota",
     "svc.queue_depth": "gauge — service units queued or in flight",
     "svc.busy_workers": "gauge — fleet workers currently leasing a unit",
-    "svc.tenant_queued.": "gauge family — queued units by tenant "
-                          "(fairness observability)",
+    "svc.tenant_queued.": "gauge family — queued units by tenant",
     "svc.tenant_inflight.": "gauge family — in-flight units by tenant",
-    "svc.golden_cache_entries": "gauge — cross-study golden payloads "
-                                "held by the fleet cache",
+    "svc.golden_cache_entries": "gauge — golden payloads in the cache",
+    "svc.blobs.evicted": "counter — golden payloads released",
+    "svc.remote.registrations": "counter — remote worker registrations",
+    "svc.remote.workers_seen": "counter — registrations accepted",
+    "svc.remote.workers_lost": "counter — workers past their miss budget",
+    "svc.remote.leases": "counter — units leased to remote workers",
+    "svc.remote.completes": "counter — remote completes settled",
+    "svc.remote.dup_completes": "counter — duplicate completes detected",
+    "svc.remote.stale_fences": "counter — completes with a revoked fence",
+    "svc.remote.revoked": "counter — remote leases revoked",
+    "svc.attest.rejected": "counter — completes refused by attestation",
+    "svc.attest.distrusted": "counter — workers distrusted",
+    "svc.attest.challenges_passed": "counter — challenges passed",
+    "svc.attest.challenges_failed": "counter — challenges failed",
+    "svc.attest.audits_sampled": "counter — units picked for audit",
+    "svc.attest.audits_ok": "counter — audits matching the worker",
+    "svc.attest.audits_diverged": "counter — audits that diverged",
+    "svc.attest.audits_inconclusive": "counter — audits that failed",
+    "svc.attest.voided": "counter — completed units voided",
 }
+
+
+def _count(value) -> int:
+    """A count field of an event row: a positive int, or 0."""
+    return value if type(value) is int and value > 0 else 0
+
+
+def _seconds(value) -> float:
+    """A wall-time field of an event row: a finite number, or 0.0."""
+    ok = type(value) in (int, float) and abs(value) < 1e18
+    return float(value) if ok else 0.0
+
+
+def fold_event(m: MetricsRegistry, name, ev: dict) -> None:
+    """Apply one campaign event, *name* with fields *ev*, to *m*.
+
+    The only place campaign events become metrics: the campaign, the
+    pool and study parents and ``obs summarize`` all count through it.
+    *ev* may be the whole event row; events of other names are ignored.
+    It never raises: a field of the wrong type counts as zero, so any
+    row with a string ``name`` is safe to fold.
+    """
+    if name == "inject_end":
+        m.counter("injections_total").inc()
+        m.counter(f"outcomes.{ev.get('reason', 'unknown')}").inc()
+        if ev.get("early_stop"):
+            m.counter(f"early_stops.{ev['early_stop']}").inc()
+        saved = _count(ev.get("saved_cycles"))
+        m.counter("cycles.simulated").inc(_count(ev.get("sim_cycles")))
+        m.counter("cycles.saved").inc(saved)
+        m.counter("checkpoint.restores" if saved
+                  else "checkpoint.cold_starts").inc()
+        m.histogram("time.inject_s").observe(_seconds(ev.get("wall_s")))
+        m.histogram("time.restore_s").observe(_seconds(ev.get("restore_s")))
+        # Guard metrics appear only when nonzero, so guard-off campaigns
+        # keep the pre-guard vocabulary.
+        if _count(ev.get("integrity_checks")):
+            m.counter("guard.integrity_checks").inc(ev["integrity_checks"])
+        if ev.get("invariant"):
+            m.counter("guard.invariant_violations").inc()
+            m.counter(f"guard.invariant.{ev['invariant']}").inc()
+    elif name == "pruned":
+        # A classified injection whose synthetic record exits like
+        # golden; nothing was simulated, so no cycles and no times.
+        m.counter("injections_total").inc()
+        m.counter("outcomes.exit").inc()
+        m.counter("prune.masked").inc()
+        m.counter(f"prune.structure.{ev.get('structure', '?')}").inc()
+    elif name == "golden_end":
+        m.histogram("time.golden_s").observe(_seconds(ev.get("wall_s")))
+        m.histogram("time.snapshot_s").observe(
+            _seconds(ev.get("snapshot_s")))
+        m.gauge("golden.cycles").set(_count(ev.get("cycles")))
+        m.gauge("golden.checkpoints").set(_count(ev.get("checkpoints")))
+        m.counter("checkpoint.bytes").inc(_count(ev.get("checkpoint_bytes")))
+    elif name == "maskgen_end":
+        m.histogram("time.maskgen_s").observe(_seconds(ev.get("wall_s")))
+        m.counter("masks_generated").inc(_count(ev.get("masks")))
+    elif name == "classify":
+        m.histogram("time.classify_s").observe(_seconds(ev.get("wall_s")))
+    elif name == "guard.contamination":
+        m.counter("guard.contamination").inc()
 
 
 class Counter:

@@ -1,16 +1,17 @@
-"""Profiling hooks and the per-campaign telemetry summary.
+"""The per-campaign telemetry summary.
 
-The dispatcher cheaply measures each phase it owns — the golden run and
-every injection run — into plain sample records
-(:class:`GoldenSample`, :class:`InjectionSample`).  The campaign layer
-folds samples into a :class:`~repro.obs.metrics.MetricsRegistry` via the
-``record_*`` helpers and finally condenses the registry into a
-:class:`CampaignTelemetry`, which hangs off ``CampaignResult.telemetry``.
+A campaign measures each phase it runs — the golden run, mask
+generation, every injection run, classification — once, as an event
+(``golden_end``, ``maskgen_end``, ``inject_end``, ``classify``; a
+pruned mask is a ``pruned`` event).  :func:`repro.obs.metrics.fold_event`
+folds the events into a :class:`~repro.obs.metrics.MetricsRegistry`,
+and :meth:`CampaignTelemetry.from_metrics` condenses the registry into
+the summary that hangs off ``CampaignResult.telemetry``.
 
-Both the serial and the parallel campaign paths go through the same
-helpers, which is what makes their deterministic metrics identical: a
-worker process ships each run's sample home with the record, and the
-parent records it exactly as the serial loop would have.
+Serial, pool and study campaigns all count through that one fold — a
+pool worker or a study unit ships its events home and the parent folds
+them — so their deterministic numbers agree, and ``obs summarize``
+condenses an events file through the same two steps.
 
 Paper hook: §III.B claims 30-70 % per-run savings from checkpointing and
 early-stop; :attr:`CampaignTelemetry.checkpoint_speedup` is the measured
@@ -25,118 +26,11 @@ from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
-class GoldenSample:
-    """Measurements of one golden (fault-free) reference run."""
-
-    wall_s: float = 0.0
-    cycles: int = 0
-    checkpoints: int = 0
-    snapshot_s: float = 0.0       # wall time spent taking snapshots
-    checkpoint_bytes: int = 0     # serialized size of pristine+checkpoints
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "GoldenSample":
-        return GoldenSample(**d)
-
-
-@dataclass
-class InjectionSample:
-    """Measurements of one injection run (alongside its record)."""
-
-    set_id: int = 0
-    wall_s: float = 0.0
-    restore_cycle: int = 0        # snapshot cycle the run resumed from
-    end_cycle: int = 0            # sim.cycle when the run finished
-    restore_s: float = 0.0        # wall time of the snapshot restore
-    integrity_checks: int = 0     # guard digests verified for this run
-    contaminations: int = 0       # guard condemn/rebuild incidents
-
-    @property
-    def sim_cycles(self) -> int:
-        """Cycles actually stepped (the restore skipped the rest)."""
-        return max(self.end_cycle - self.restore_cycle, 0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "InjectionSample":
-        return InjectionSample(**d)
-
-
-# -- registry recording (shared by the serial and parallel paths) ---------
-
-def record_golden(metrics: MetricsRegistry, sample: GoldenSample) -> None:
-    metrics.histogram("time.golden_s").observe(sample.wall_s)
-    metrics.histogram("time.snapshot_s").observe(sample.snapshot_s)
-    metrics.gauge("golden.cycles").set(sample.cycles)
-    metrics.gauge("golden.checkpoints").set(sample.checkpoints)
-    metrics.gauge("checkpoint.bytes").set(sample.checkpoint_bytes)
-
-
-def record_maskgen(metrics: MetricsRegistry, wall_s: float,
-                   masks: int) -> None:
-    metrics.histogram("time.maskgen_s").observe(wall_s)
-    metrics.counter("masks_generated").inc(masks)
-
-
-def record_injection(metrics: MetricsRegistry, record,
-                     sample: InjectionSample) -> None:
-    """Fold one finished injection run into the campaign registry."""
-    metrics.counter("injections_total").inc()
-    metrics.counter(f"outcomes.{record.reason}").inc()
-    if record.early_stop is not None:
-        metrics.counter(f"early_stops.{record.early_stop}").inc()
-    metrics.counter("cycles.simulated").inc(sample.sim_cycles)
-    metrics.counter("cycles.saved").inc(sample.restore_cycle)
-    if sample.restore_cycle > 0:
-        metrics.counter("checkpoint.restores").inc()
-    else:
-        metrics.counter("checkpoint.cold_starts").inc()
-    metrics.histogram("time.inject_s").observe(sample.wall_s)
-    metrics.histogram("time.restore_s").observe(sample.restore_s)
-    # Guard telemetry rides on the sample/record so the parallel path
-    # (workers ship both home) folds in exactly like the serial loop.
-    if sample.integrity_checks:
-        metrics.counter("guard.integrity_checks").inc(
-            sample.integrity_checks)
-    if sample.contaminations:
-        metrics.counter("guard.contamination").inc(sample.contaminations)
-    invariant = getattr(record, "invariant", None)
-    if invariant:
-        metrics.counter("guard.invariant_violations").inc()
-        metrics.counter(f"guard.invariant.{invariant}").inc()
-
-
-def record_pruned(metrics: MetricsRegistry, record) -> None:
-    """Fold one analysis-pruned record into the registry.
-
-    Pruned records count as classified injections with an outcome, but
-    carry no checkpoint/cycle/wall-time telemetry — nothing was
-    simulated for them.
-    """
-    metrics.counter("injections_total").inc()
-    metrics.counter(f"outcomes.{record.reason}").inc()
-    metrics.counter("prune.masked").inc()
-    structure = record.masks[0]["structure"] if record.masks else "?"
-    metrics.counter(f"prune.structure.{structure}").inc()
-
-
-def record_classify(metrics: MetricsRegistry, wall_s: float) -> None:
-    metrics.histogram("time.classify_s").observe(wall_s)
-
-
-# -- the summary ----------------------------------------------------------
-
-@dataclass
 class CampaignTelemetry:
     """Condensed per-campaign observability report.
 
-    Attached to ``CampaignResult.telemetry`` by both campaign runners;
-    merge across cells with :meth:`merge` for figure-level totals.
+    Attached to ``CampaignResult.telemetry`` by every campaign; merge
+    across cells with :meth:`merge` for figure-level totals.
     """
 
     golden_s: float = 0.0
@@ -146,10 +40,10 @@ class CampaignTelemetry:
     wall_s: float = 0.0
     snapshot_s: float = 0.0
     restore_s: float = 0.0
-    injections: int = 0
+    injections: int = 0           # classified: simulated or pruned
     golden_cycles: int = 0
     golden_checkpoints: int = 0
-    checkpoint_bytes: int = 0
+    checkpoint_bytes: int = 0     # summed over golden runs
     cycles_simulated: int = 0
     cycles_saved: int = 0
     checkpoint_restores: int = 0
@@ -200,7 +94,7 @@ class CampaignTelemetry:
             golden_cycles=int(metrics.gauge("golden.cycles").value),
             golden_checkpoints=int(
                 metrics.gauge("golden.checkpoints").value),
-            checkpoint_bytes=int(metrics.gauge("checkpoint.bytes").value),
+            checkpoint_bytes=metrics.counter_value("checkpoint.bytes"),
             cycles_simulated=metrics.counter_value("cycles.simulated"),
             cycles_saved=metrics.counter_value("cycles.saved"),
             checkpoint_restores=metrics.counter_value(

@@ -7,7 +7,12 @@ reports the numbers the paper's analysis leans on: injections/sec,
 per-phase wall time (golden / maskgen / inject / classify), the
 early-stop rate by reason, the outcome distribution, and the fraction
 of faulty-run cycles the checkpoint restores skipped (§III.B's 30-70 %
-speedup claim, measured).  Streams captured by a ``repro.sched`` study
+speedup claim, measured).  Those campaign numbers come from folding the
+stream with :func:`repro.obs.metrics.fold_event` and condensing the
+registry with :meth:`CampaignTelemetry.from_metrics
+<repro.obs.profile.CampaignTelemetry.from_metrics>` — the two steps
+behind ``CampaignResult.telemetry`` — so a report and the result of the
+same run agree.  Streams captured by a ``repro.sched`` study
 additionally get a scheduler section — unit leases, retries, timeouts,
 quarantines, and injections recovered from logs on resume.
 """
@@ -17,7 +22,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.ioutil import read_jsonl
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry, fold_event
+from repro.obs.profile import CampaignTelemetry
 
 
 def load_events(path) -> list[dict]:
@@ -42,16 +48,10 @@ class SummaryAccumulator:
 
     def __init__(self):
         self.events = 0
+        #: The campaign events' fold: phases, injections, outcomes,
+        #: early stops, checkpointing, inject latency and guard.
+        self.metrics = MetricsRegistry()
         self.campaigns: list[dict] = []
-        self.golden = {"wall_s": 0.0, "cycles": 0, "checkpoints": 0,
-                       "runs": 0, "snapshot_s": 0.0, "checkpoint_bytes": 0}
-        self.maskgen = {"wall_s": 0.0, "masks": 0}
-        self.inject = {"runs": 0, "wall_s": 0.0, "sim_cycles": 0,
-                       "saved_cycles": 0, "restores": 0, "cold_starts": 0,
-                       "restore_s": 0.0}
-        self.outcomes: dict[str, int] = {}
-        self.early_stops: dict[str, int] = {}
-        self.classify = {"wall_s": 0.0, "calls": 0}
         self.span = {"first_ts": None, "last_ts": None}
         self.sched = {"studies": 0, "units": 0, "leases": 0, "retries": 0,
                       "done": 0, "resumed_injections": 0, "failed": 0,
@@ -69,13 +69,10 @@ class SummaryAccumulator:
                       "audits_ok": 0, "audits_diverged": 0,
                       "audits_inconclusive": 0, "voided": 0,
                       "reopened": 0, "blobs_evicted": 0}
-        self.guard = {"contaminations": 0, "invariant_violations": 0,
-                      "invariants": {}}
         self.prune = {"plans": 0, "masks": 0, "masked": 0,
                       "simulated": 0, "rules": {},
                       "traces_recorded": 0, "trace_cache_hits": 0,
                       "audit_checked": 0, "audit_divergences": 0}
-        self.inject_hist = Histogram()      # per-injection wall time
         self.unit_hist = Histogram()        # per-unit wall time
 
     def add(self, ev: dict) -> None:
@@ -86,47 +83,12 @@ class SummaryAccumulator:
             if self.span["first_ts"] is None:
                 self.span["first_ts"] = ts
             self.span["last_ts"] = ts
-        golden, maskgen, inject = self.golden, self.maskgen, self.inject
-        sched, guard = self.sched, self.guard
+        fold_event(self.metrics, name, ev)
+        sched = self.sched
         if name == "campaign_start":
             self.campaigns.append({k: ev.get(k) for k in
                                    ("setup", "benchmark", "structure",
                                     "masks")})
-        elif name == "golden_end":
-            golden["runs"] += 1
-            golden["wall_s"] += ev.get("wall_s", 0.0)
-            golden["cycles"] = ev.get("cycles", golden["cycles"])
-            golden["checkpoints"] = ev.get("checkpoints",
-                                           golden["checkpoints"])
-            golden["snapshot_s"] += ev.get("snapshot_s", 0.0)
-            golden["checkpoint_bytes"] += ev.get("checkpoint_bytes", 0)
-        elif name == "maskgen_end":
-            maskgen["wall_s"] += ev.get("wall_s", 0.0)
-            maskgen["masks"] += ev.get("masks", 0)
-        elif name == "inject_end":
-            inject["runs"] += 1
-            inject["wall_s"] += ev.get("wall_s", 0.0)
-            inject["sim_cycles"] += ev.get("sim_cycles", 0)
-            inject["restore_s"] += ev.get("restore_s", 0.0)
-            self.inject_hist.observe(ev.get("wall_s", 0.0))
-            saved = ev.get("saved_cycles", 0)
-            inject["saved_cycles"] += saved
-            if saved > 0:
-                inject["restores"] += 1
-            else:
-                inject["cold_starts"] += 1
-            reason = ev.get("reason", "unknown")
-            self.outcomes[reason] = self.outcomes.get(reason, 0) + 1
-            stop = ev.get("early_stop")
-            if stop:
-                self.early_stops[stop] = self.early_stops.get(stop, 0) + 1
-            inv = ev.get("invariant")
-            if inv:
-                guard["invariant_violations"] += 1
-                guard["invariants"][inv] = \
-                    guard["invariants"].get(inv, 0) + 1
-        elif name == "guard.contamination":
-            guard["contaminations"] += 1
         elif name == "prune_plan":
             prune = self.prune
             prune["plans"] += 1
@@ -143,9 +105,6 @@ class SummaryAccumulator:
             self.prune["traces_recorded"] += 1
         elif name == "trace_cache_hit":
             self.prune["trace_cache_hits"] += 1
-        elif name == "classify":
-            self.classify["calls"] += 1
-            self.classify["wall_s"] += ev.get("wall_s", 0.0)
         elif name == "study_start":
             sched["studies"] += 1
             sched["units"] += ev.get("units", 0)
@@ -226,44 +185,45 @@ class SummaryAccumulator:
         return self
 
     def summary(self) -> dict:
-        golden, maskgen, inject = self.golden, self.maskgen, self.inject
-        denom = inject["sim_cycles"] + inject["saved_cycles"]
+        m = self.metrics
+        t = CampaignTelemetry.from_metrics(m)
         return {
             "events": self.events,
             "campaigns": list(self.campaigns),
             "phases": {
-                "golden_s": golden["wall_s"],
-                "maskgen_s": maskgen["wall_s"],
-                "inject_s": inject["wall_s"],
-                "classify_s": self.classify["wall_s"],
+                "golden_s": t.golden_s,
+                "maskgen_s": t.maskgen_s,
+                "inject_s": t.inject_s,
+                "classify_s": t.classify_s,
             },
             # A study pays one golden run per pair unless a unit's
             # lease beat its pair's blob; runs > pairs shows the excess.
-            "golden": {**golden, "pairs": len(
-                {(c["setup"], c["benchmark"]) for c in self.campaigns
-                 if c["setup"] is not None})},
-            "masks_generated": maskgen["masks"],
-            "injections": inject["runs"],
-            "injections_per_sec": (inject["runs"] / inject["wall_s"]
-                                   if inject["wall_s"] else 0.0),
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "early_stops": dict(sorted(self.early_stops.items())),
-            "early_stop_rate": (sum(self.early_stops.values())
-                                / inject["runs"]
-                                if inject["runs"] else 0.0),
+            "golden": {"wall_s": t.golden_s, "cycles": t.golden_cycles,
+                       "checkpoints": t.golden_checkpoints,
+                       "runs": m.histogram("time.golden_s").count,
+                       "snapshot_s": t.snapshot_s,
+                       "checkpoint_bytes": t.checkpoint_bytes,
+                       "pairs": len({(c["setup"], c["benchmark"])
+                                     for c in self.campaigns
+                                     if c["setup"] is not None})},
+            "masks_generated": m.counter_value("masks_generated"),
+            "injections": t.injections,
+            "injections_per_sec": t.injections_per_sec,
+            "outcomes": t.outcomes,
+            "early_stops": t.early_stops,
+            "early_stop_rate": t.early_stop_rate,
             "checkpoint": {
-                "restores": inject["restores"],
-                "cold_starts": inject["cold_starts"],
-                "cycles_saved": inject["saved_cycles"],
-                "cycles_simulated": inject["sim_cycles"],
-                "speedup_fraction": (inject["saved_cycles"] / denom
-                                     if denom else 0.0),
-                "snapshot_s": golden["snapshot_s"],
-                "restore_s": inject["restore_s"],
-                "bytes": golden["checkpoint_bytes"],
+                "restores": t.checkpoint_restores,
+                "cold_starts": t.cold_starts,
+                "cycles_saved": t.cycles_saved,
+                "cycles_simulated": t.cycles_simulated,
+                "speedup_fraction": t.checkpoint_speedup,
+                "snapshot_s": t.snapshot_s,
+                "restore_s": t.restore_s,
+                "bytes": t.checkpoint_bytes,
             },
             "latency": {
-                "inject_s": self.inject_hist.summary(),
+                "inject_s": m.histogram("time.inject_s").summary(),
                 "unit_s": self.unit_hist.summary(),
             },
             "wall_span_s": ((self.span["last_ts"] - self.span["first_ts"])
@@ -276,8 +236,11 @@ class SummaryAccumulator:
             "fleet": {**self.fleet,
                       "workers": dict(sorted(
                           self.fleet["workers"].items()))},
-            "guard": {**self.guard,
-                      "invariants": dict(self.guard["invariants"])},
+            "guard": {"contaminations":
+                      m.counter_value("guard.contamination"),
+                      "invariant_violations":
+                      m.counter_value("guard.invariant_violations"),
+                      "invariants": m.family("guard.invariant.")},
             "prune": {**self.prune,
                       "rules": dict(sorted(self.prune["rules"].items())),
                       "rate": (self.prune["masked"] / self.prune["masks"]

@@ -7,7 +7,8 @@ emits a small vocabulary of events — ``golden_start``/``golden_end``,
 ``campaign_end`` — through a :class:`Tracer`.  Where they go is the
 sink's business: a bounded in-memory ring buffer for tests and live
 introspection, a JSONL file for offline analysis (``repro.tools obs
-summarize``), or the null sink, which is the default and free.
+summarize``), or the null sink, which is the default.  A campaign
+also tees its stream into a :class:`MetricsSink`, its metrics' source.
 
 Tracing never feeds back into simulation: events carry wall-clock
 observations only, so enabling any sink cannot change campaign results
@@ -22,26 +23,29 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.ioutil import JSONLWriter
+from repro.obs.metrics import fold_event
 from repro.obs.summarize import load_events as load_event_dicts
 
-#: The documented event vocabulary, in the order a serial campaign with
-#: a single classify() call emits them (checkpoint/inject events repeat).
-#: The ``study_*``/``unit_*`` names are the scheduler's unit-lifecycle
-#: layer (repro.sched) wrapped around per-unit campaign streams.
+#: The documented event vocabulary.  The campaign's come first, in the
+#: order a serial campaign with a single classify() call emits them
+#: (checkpoint/inject events repeat), wrapped in the scheduler's unit
+#: lifecycle (repro.sched); then the service's and its fleet's.
 EVENT_NAMES = (
-    "study_start",
-    "heartbeat",
-    "unit_leased",
+    "study_start", "heartbeat", "unit_leased",
     "golden_start", "checkpoint_taken", "golden_end",
-    "maskgen_start", "maskgen_end",
-    "campaign_start",
+    "trace_recorded", "trace_cache_hit",
+    "maskgen_start", "maskgen_end", "prune_plan", "campaign_start",
     "inject_start", "checkpoint_restored", "cold_start",
-    "guard.contamination", "early_stop",
-    "inject_end",
-    "campaign_end",
-    "classify",
-    "unit_done", "unit_failed", "unit_quarantined",
-    "study_end",
+    "guard.contamination", "early_stop", "inject_end", "pruned",
+    "prune_audit", "campaign_end", "classify",
+    "unit_done", "unit_failed", "unit_quarantined", "study_end",
+    "study_submitted", "study_running", "study_resumed", "study_done",
+    "study_cancelled", "study_reopened", "study_gc", "quota_rejected",
+    "svc_heartbeat", "blobs_evicted", "worker_registered", "worker_lost",
+    "worker_distrusted", "lease_revoked", "fence_rejected",
+    "attest_rejected", "challenge_passed", "challenge_failed",
+    "audit_started", "audit_ok", "audit_divergence", "audit_inconclusive",
+    "audit_void",
 )
 
 
@@ -130,6 +134,19 @@ class TeeSink:
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
+
+
+class MetricsSink:
+    """Folds every event into a metrics registry, via :func:`fold_event`."""
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+
+    def write(self, event: TraceEvent) -> None:
+        fold_event(self.metrics, event.name, event.fields)
+
+    def close(self) -> None:
+        pass
 
 
 class Tracer:

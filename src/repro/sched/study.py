@@ -11,9 +11,11 @@ the one copy of the unit policy:
   ones included, counts as a spent attempt;
 * **lease** — the ``leased`` row is durable before the work starts;
 * **settle** — a success journals ``done`` and adopts the worker's
-  trace events and metrics; a failure journals ``failed`` and is
-  retried after ``backoff_s * 2 ** (attempt - 1)`` seconds, or
-  quarantined once its attempt exceeds ``max_retries``.
+  trace events, which the run's tracer folds into its metrics; a
+  failure journals ``failed`` and is retried after ``backoff_s * 2 **
+  (attempt - 1)`` seconds, or quarantined once its attempt exceeds
+  ``max_retries``.  A result :func:`check_result` refuses raises
+  before anything is journaled.
 
 Two loops call it.  :class:`~repro.sched.scheduler.Scheduler` runs one
 study to completion on its own :class:`~repro.sched.pool.LeasePool`;
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import JSONLSink, TraceEvent, Tracer
+from repro.obs.trace import JSONLSink, MetricsSink, TeeSink, TraceEvent, \
+    Tracer
 from repro.prune import PRUNE_OFF
 from repro.sched.journal import (DONE, FAILED, LEASED, QUARANTINED, Journal,
                                  JournalState, load_journal)
@@ -60,6 +63,36 @@ def merge_counts(per_unit) -> dict:
         for cls, n in counts.items():
             totals[cls] = totals.get(cls, 0) + n
     return totals
+
+
+class MalformedResult(ValueError):
+    """A unit result that cannot settle its unit (:func:`check_result`)."""
+
+
+def check_result(res: dict) -> None:
+    """Raise :class:`MalformedResult` unless *res* carries every field
+    :meth:`StudyRun.succeed` reads, with the right type.
+
+    ``events`` must be a list of objects with a string ``name``; the
+    fold never raises on such a row, so a checked result settles
+    whole.  A ``metrics`` key (sent by older workers) is ignored.
+    """
+    counts, wall_s, events = (res.get("counts"), res.get("wall_s"),
+                              res.get("events"))
+    for key, ok in (
+            ("counts", isinstance(counts, dict)
+             and all(isinstance(n, int) for n in counts.values())),
+            ("injections", isinstance(res.get("injections"), int)),
+            ("early_stops", isinstance(res.get("early_stops"), int)),
+            ("resumed", isinstance(res.get("resumed"), int)),
+            ("pruned", isinstance(res.get("pruned", 0), int)),
+            ("wall_s", isinstance(wall_s, (int, float))
+             and abs(wall_s) < 1e18),
+            ("events", isinstance(events, list) and all(
+                isinstance(ev, dict) and isinstance(ev.get("name"), str)
+                for ev in events))):
+        if not ok:
+            raise MalformedResult(f"{key!r} is missing or malformed")
 
 
 class GoldenCache:
@@ -181,7 +214,8 @@ class StudyRun:
                     f"not {shard}")
         self.resumed = prior is not None
         self.journal = Journal(path, fsync=fsync)
-        self.tracer = Tracer(JSONLSink(self.study_dir / EVENTS_NAME))
+        self.event_log = JSONLSink(self.study_dir / EVENTS_NAME)
+        self.tracer = Tracer(TeeSink(self.event_log, MetricsSink(metrics)))
         if prior is None:
             self.journal.write_header(self.spec.to_dict(), plan.unit_ids(),
                                       shard=plan.shard_id)
@@ -254,10 +288,12 @@ class StudyRun:
         return None
 
     def succeed(self, lease, res: dict, **fields) -> None:
-        """Journal ``done``; adopt the worker's events, metrics and blob.
+        """Journal ``done``; adopt the worker's events and golden blob.
 
-        A remote lease passes its ``worker`` as one of *fields*.
+        A remote lease passes its ``worker`` as one of *fields*.  Raises
+        :class:`MalformedResult`, before any effect, on a bad result.
         """
+        check_result(res)
         uid = lease.unit.unit_id
         self.journal.record(uid, DONE, attempt=lease.attempt,
                             counts=res["counts"],
@@ -271,7 +307,6 @@ class StudyRun:
             self.cache.store(lease.unit, self.spec, blob)
         for ev in res["events"]:
             self.tracer.sink.write(TraceEvent.from_dict(ev))
-        self.metrics.merge(MetricsRegistry.from_dict(res["metrics"]))
         self.metrics.counter("sched.units_done").inc()
         self.metrics.histogram("time.unit_s").observe(res["wall_s"])
         self.tracer.emit("unit_done", unit=uid, attempt=lease.attempt,
@@ -354,5 +389,5 @@ class StudyRun:
         return self.study_dir / "masks" / f"{unit.file_id}.jsonl"
 
 
-__all__ = ["StudyRun", "GoldenCache", "CellOutcome", "merge_counts",
-           "JOURNAL_NAME", "EVENTS_NAME"]
+__all__ = ["StudyRun", "GoldenCache", "CellOutcome", "MalformedResult",
+           "check_result", "merge_counts", "JOURNAL_NAME", "EVENTS_NAME"]

@@ -12,10 +12,12 @@ the blob arrived; the plan's pair-interleaved order makes that every
 unit but the first in the usual case.
 
 :func:`unit_entry` is the ``multiprocessing.Process`` target: it sends
-the result dict (records summary, trace events, metrics, optionally
-the golden blob for the parent's cache) back over a pipe and never
-raises — failures travel home as ``{"ok": False, ...}`` and become
-journal ``failed`` transitions, retries, and eventually quarantine.
+the result dict (records summary, trace events, optionally the golden
+blob for the parent's cache) back over a pipe and never raises —
+failures travel home as ``{"ok": False, ...}`` and become journal
+``failed`` transitions, retries, and eventually quarantine.  The trace
+events are the unit's whole measurement: the study folds them into its
+metrics (:class:`repro.sched.study.StudyRun`).
 
 Chaos hook (tests/CI only): the ``REPRO_SCHED_CHAOS`` environment
 variable — ``"<unit_id>=fail:N"`` or ``"<unit_id>=hang:N"`` entries
@@ -103,7 +105,7 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
     campaign.prepare(injections=spec.injections,
                      confidence=spec.confidence,
                      error_margin=spec.error_margin)
-    ran_golden = campaign.dispatcher.golden_sample is not None
+    ran_golden = campaign.dispatcher.golden_outcome is not None
     resumed = campaign.logs.set_ids
     result = campaign.run()
     records = result.records
@@ -122,7 +124,6 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
         "prune": result.prune,
         "wall_s": time.perf_counter() - t0,
         "events": list(sink.rows),
-        "metrics": campaign.metrics.to_dict(),
         # The blob carries the access trace when pruning, so later units
         # of the same (setup, benchmark) pair skip re-recording too.
         "golden_blob": (build_golden_payload(

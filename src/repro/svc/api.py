@@ -36,7 +36,8 @@ Remote-fleet endpoints (the :mod:`repro.svc.remote` agent protocol):
   is ``409 stale-fence``, a retried settle is a detected duplicate,
   and a body failing semantic ingest validation (record counts, mask
   stream, classifications, golden observables — see
-  :mod:`repro.svc.attest`) is ``422`` with a machine-readable code.
+  :mod:`repro.svc.attest`), or a result the study cannot settle
+  (``malformed-result``), is ``422`` with a machine-readable code.
 * ``POST /fleet/challenge`` — prove the registration determinism
   challenge; failure is ``403 distrusted``.  A registered worker that
   has not proven its challenge gets ``403 challenge-pending`` on

@@ -49,7 +49,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sched.journal import DONE, JournalState
 from repro.sched.plan import CampaignPlan, StudySpec, WorkUnit
 from repro.sched.pool import LeasePool
-from repro.sched.study import GoldenCache, StudyRun
+from repro.sched.study import (GoldenCache, MalformedResult, StudyRun,
+                               check_result)
 from repro.svc.attest import CHALLENGE_GRACE_S, RejectedComplete
 
 
@@ -81,7 +82,7 @@ class ServiceRun(StudyRun):
         """Reopen journal/tracer after a finished study is voided back
         to running (an audit distrusted a worker that touched it)."""
         self.journal.open()
-        self.tracer.sink.open()
+        self.event_log.open()
 
 
 def pack_text(text: str) -> str:
@@ -312,7 +313,8 @@ class WorkerFleet:
         a fence the service no longer holds raises :class:`StaleFence`.
         The fence is spent *before* any effect, so the three outcomes
         — accepted, duplicate, stale — are mutually exclusive even
-        under chaotic retries.
+        under chaotic retries.  A result ``check_result`` refuses or
+        attestation rejects raises :class:`RejectedComplete` instead.
         """
         if fence in self._completed_fences:
             self.metrics.counter("svc.remote.dup_completes").inc()
@@ -326,6 +328,15 @@ class WorkerFleet:
         lease.worker.fences.discard(fence)
         run: ServiceRun = lease.meta
         if result is not None and result.get("ok"):
+            res = dict(result, golden_blob=blob)
+            try:
+                check_result(res)
+            except MalformedResult as exc:
+                rejected = RejectedComplete("malformed-result", str(exc))
+                rejected.worker = lease.worker.name
+                rejected.unit = lease.unit.unit_id
+                self._fail(lease, "malformed-result", str(exc))
+                raise rejected from exc
             # Attestation happens BEFORE the shipped files touch the
             # study directory: a rejected complete must leave no
             # records behind that a later local resume could adopt.
@@ -348,7 +359,7 @@ class WorkerFleet:
                 atomic_write_text(run.masks_path(lease.unit), masks_text,
                                   fsync=run.fsync)
             name = lease.worker.name
-            run.succeed(lease, dict(result, golden_blob=blob), worker=name)
+            run.succeed(lease, res, worker=name)
             if self.attest is not None:
                 uid = lease.unit.unit_id
                 run.remote_done[uid] = name

@@ -17,7 +17,10 @@ root) and verifies the invariants the running system enforces online:
   the tree hashes to its own name;
 * **service ledger** — ``service.jsonl`` parses, study ids are unique,
   the fencing epoch is monotonic, and every non-purged study has its
-  directory on disk.
+  directory on disk;
+* **event streams** — a study's ``events.jsonl`` and the service's
+  ``service-events.jsonl`` parse by the rule of ``obs summarize``'s
+  :func:`~repro.obs.summarize.load_events`: every row has a ``name``.
 
 Every JSONL file is read by :func:`repro.core.ioutil.scan_jsonl`, the
 scan the online readers and writers share (docs/robustness.md,
@@ -48,7 +51,8 @@ from repro.core.repository import decode_logs_row
 from repro.sched.journal import (AUDIT_VOID, DONE, FAILED, LEASED,
                                  PENDING, QUARANTINED, JournalState)
 from repro.sched.study import EVENTS_NAME, JOURNAL_NAME
-from repro.svc.state import SERVICE_JOURNAL_NAME, STUDIES_DIR_NAME
+from repro.svc.state import (SERVICE_EVENTS_NAME, SERVICE_JOURNAL_NAME,
+                             STUDIES_DIR_NAME)
 
 LEGAL_UNIT_STATES = {PENDING, LEASED, DONE, FAILED, QUARANTINED,
                      AUDIT_VOID}
@@ -59,10 +63,11 @@ def _finding(path, check: str, detail: str, repaired: bool = False) -> dict:
             "repaired": repaired}
 
 
-def _check_jsonl(path: Path, findings: list, repair: bool,
-                 check: str) -> list[dict] | None:
+def _check_jsonl(path: Path, findings: list, repair: bool, check: str,
+                 require: str | None = None) -> list[dict] | None:
     """Scan one JSONL file, reporting (and maybe repairing) damage.
 
+    With *require*, a row must carry that field, as its reader demands.
     Returns the parsed rows, or None when the file is missing,
     unreadable or corrupt beyond a tail truncation (the caller should
     not interpret partial rows).
@@ -71,7 +76,7 @@ def _check_jsonl(path: Path, findings: list, repair: bool,
         findings.append(_finding(path, check, "file is missing"))
         return None
     try:
-        rows, torn_at, corrupt = scan_jsonl(path)
+        rows, torn_at, corrupt = scan_jsonl(path, require)
     except OSError as exc:
         findings.append(_finding(path, check, f"unreadable: {exc}"))
         return None
@@ -203,7 +208,7 @@ def fsck_study(study_dir, repair: bool = False) -> list[dict]:
                 f"injections but the logs hold {len(records)} records"))
     events_path = study_dir / EVENTS_NAME
     if events_path.exists():
-        _check_jsonl(events_path, findings, repair, "events-parse")
+        _check_jsonl(events_path, findings, repair, "events-parse", "name")
     return findings
 
 
@@ -257,6 +262,9 @@ def fsck_service(root, repair: bool = False) -> list[dict]:
                     f"has no directory"))
             continue
         findings.extend(fsck_study(study_dir, repair=repair))
+    events_path = root / SERVICE_EVENTS_NAME
+    if events_path.exists():
+        _check_jsonl(events_path, findings, repair, "events-parse", "name")
     _check_blobs(root, findings)
     return findings
 

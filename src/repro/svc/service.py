@@ -42,11 +42,9 @@ from repro.svc.fleet import (ServiceRun, StaleFence, UnknownWorker,
                              unpack_text)
 from repro.svc.queue import FairQueue, QuotaExceeded, TenantPolicy
 from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING,
-                             SERVICE_JOURNAL_NAME, STUDIES_DIR_NAME,
-                             STUDY_DONE, ServiceJournal, StudyRecord,
-                             load_service, study_id_for)
-
-SERVICE_EVENTS_NAME = "service-events.jsonl"
+                             SERVICE_EVENTS_NAME, SERVICE_JOURNAL_NAME,
+                             STUDIES_DIR_NAME, STUDY_DONE, ServiceJournal,
+                             StudyRecord, load_service, study_id_for)
 
 
 class CampaignService:

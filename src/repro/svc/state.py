@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.core.ioutil import JSONLWriter, read_jsonl
 
 SERVICE_JOURNAL_NAME = "service.jsonl"
+SERVICE_EVENTS_NAME = "service-events.jsonl"
 STUDIES_DIR_NAME = "studies"
 
 # Study lifecycle states (service journal vocabulary).
@@ -179,4 +180,4 @@ def study_id_for(serial: int, spec_hash: str) -> str:
 __all__ = ["ServiceJournal", "ServiceState", "StudyRecord", "load_service",
            "study_id_for", "ACCEPTED", "RUNNING", "STUDY_DONE", "CANCELLED",
            "TERMINAL_STUDY_STATES", "SERVICE_JOURNAL_NAME",
-           "STUDIES_DIR_NAME"]
+           "SERVICE_EVENTS_NAME", "STUDIES_DIR_NAME"]

@@ -11,6 +11,7 @@ from repro.obs import (CampaignTelemetry, MetricsRegistry, RingBufferSink,
                        Tracer)
 from repro.obs.summarize import (load_events, render_report,
                                  summarize_events)
+from repro.sched import CampaignPlan, Scheduler, StudySpec
 
 CELL = dict(setup="GeFIN-x86", benchmark="sha", structure="l1d")
 N = 6
@@ -180,6 +181,64 @@ class TestSummarize:
             t.checkpoint_speedup)
         assert summary["phases"]["golden_s"] == pytest.approx(t.golden_s)
         assert summary["campaigns"][0]["benchmark"] == "sha"
+
+    @staticmethod
+    def _counts(summary, t):
+        """The figures a summary and a telemetry both report, side by
+        side: ``(from the summary, from the telemetry)``."""
+        cp = summary["checkpoint"]
+        return ({"injections": summary["injections"],
+                 "outcomes": summary["outcomes"],
+                 "early_stops": summary["early_stops"],
+                 "cycles_simulated": cp["cycles_simulated"],
+                 "cycles_saved": cp["cycles_saved"],
+                 "restores": cp["restores"],
+                 "cold_starts": cp["cold_starts"],
+                 "checkpoint_bytes": cp["bytes"],
+                 "pruned": summary["prune"]["masked"]},
+                {"injections": t.injections,
+                 "outcomes": t.outcomes,
+                 "early_stops": t.early_stops,
+                 "cycles_simulated": t.cycles_simulated,
+                 "cycles_saved": t.cycles_saved,
+                 "restores": t.checkpoint_restores,
+                 "cold_starts": t.cold_starts,
+                 "checkpoint_bytes": t.checkpoint_bytes,
+                 "pruned": t.prunes.get("masked", 0)})
+
+    @pytest.mark.parametrize("audit", [0, 4])
+    def test_pruned_campaign_summary_equals_telemetry(self, tmp_path,
+                                                      audit):
+        # Pruned masks count as classified injections; the audit's
+        # re-simulations of pruned masks count as none.
+        path = tmp_path / "events.jsonl"
+        result = run_campaign("GeFIN-ARM", "sha", "l1d", injections=12,
+                              seed=5, prune="analyze", audit=audit,
+                              events_path=path)
+        assert result.prune["masked"] > 0
+        summary = summarize_events(load_events(path))
+        if audit:
+            assert summary["prune"]["audit_checked"] == audit
+        ours, theirs = self._counts(summary, result.telemetry)
+        assert ours == theirs
+        assert ours["injections"] == 12
+
+    def test_study_summary_equals_study_metrics(self, tmp_path):
+        spec = StudySpec(setups=("MaFIN-x86",), benchmarks=("sha", "qsort"),
+                         structures=("l1d",), injections=6, seed=3,
+                         prune="analyze")
+        study_dir = tmp_path / "study"
+        sched = Scheduler(CampaignPlan.from_spec(spec), study_dir,
+                          workers=2, fsync=False)
+        assert sched.run().ok
+        summary = summarize_events(load_events(study_dir / "events.jsonl"))
+        ours, theirs = self._counts(
+            summary, CampaignTelemetry.from_metrics(sched.metrics))
+        assert ours == theirs
+        assert ours["injections"] == 12
+        # Checkpoint bytes sum over the study's golden runs.
+        assert ours["checkpoint_bytes"] > 0
+        assert summary["golden"]["runs"] == 2
 
     def test_render_report_contents(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -3,11 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import (JSONLSink, NULL_TRACER, NullSink,
-                             RingBufferSink, TeeSink, TraceEvent, Tracer,
-                             load_events)
+from repro.obs.metrics import (METRIC_NAMES, Counter, Gauge, Histogram,
+                               MetricsRegistry, fold_event)
+from repro.obs.trace import (EVENT_NAMES, JSONLSink, NULL_TRACER,
+                             MetricsSink, NullSink, RingBufferSink, TeeSink,
+                             TraceEvent, Tracer, load_events)
 
 
 class TestTracerAndSinks:
@@ -211,3 +213,104 @@ class TestMetricsRegistry:
         ab = build([1, 2]).merge(build([3]))
         ba = build([3]).merge(build([1, 2]))
         assert ab.to_dict() == ba.to_dict()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestFold:
+    def test_inject_end_folds_like_a_measurement(self):
+        reg = MetricsRegistry()
+        fold_event(reg, "inject_end", {
+            "reason": "exit", "early_stop": "overwritten", "invariant": None,
+            "sim_cycles": 40, "saved_cycles": 60, "wall_s": 0.5,
+            "restore_s": 0.1, "integrity_checks": 2})
+        fold_event(reg, "pruned", {"structure": "l1d"})
+        fold_event(reg, "golden_end", {"checkpoint_bytes": 10})
+        fold_event(reg, "golden_end", {"checkpoint_bytes": 5})
+        fold_event(reg, "campaign_start", {"masks": 9})     # not folded
+        assert reg.to_dict()["counters"] == {
+            "checkpoint.bytes": 15, "checkpoint.restores": 1,
+            "cycles.saved": 60, "cycles.simulated": 40,
+            "early_stops.overwritten": 1, "guard.integrity_checks": 2,
+            "injections_total": 2, "outcomes.exit": 2, "prune.masked": 1,
+            "prune.structure.l1d": 1}
+        assert reg.histogram("time.golden_s").count == 2
+
+    def test_metrics_sink_folds_what_it_is_written(self):
+        reg = MetricsRegistry()
+        tracer = Tracer(TeeSink(NullSink(), MetricsSink(reg)))
+        assert tracer.enabled
+        tracer.emit("maskgen_end", masks=7, wall_s=0.25)
+        assert reg.counter_value("masks_generated") == 7
+        assert reg.histogram("time.maskgen_s").total == 0.25
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["golden_end", "maskgen_end", "inject_end",
+                                 "pruned", "classify",
+                                 "guard.contamination", "unit_done"]),
+           fields=st.dictionaries(
+               st.sampled_from(["wall_s", "snapshot_s", "cycles",
+                                "checkpoints", "checkpoint_bytes", "masks",
+                                "reason", "early_stop", "sim_cycles",
+                                "saved_cycles", "restore_s",
+                                "integrity_checks", "invariant",
+                                "structure"]), _JSON))
+    def test_fold_never_raises_on_a_named_row(self, name, fields):
+        # A study checks only that a unit's events are objects with a
+        # string name before it journals the unit done: the fold must
+        # then take any such row without raising.
+        reg = MetricsRegistry()
+        fold_event(reg, name, fields)
+        json.dumps(reg.to_dict())
+
+
+class TestVocabulary:
+    """EVENT_NAMES and METRIC_NAMES list everything the stack emits."""
+
+    def test_every_emitted_name_is_documented(self, tmp_path):
+        from repro.core.campaign import run_campaign
+        from repro.obs.summarize import load_events as load_rows
+        from repro.sched import CampaignPlan, Scheduler, StudySpec
+        from repro.svc import CampaignService
+
+        def study_spec(**over):
+            return StudySpec(**{**dict(
+                setups=("MaFIN-x86",), benchmarks=("sha",),
+                structures=("int_rf",), injections=2, seed=7), **over})
+
+        sink = RingBufferSink()
+        campaign_metrics = MetricsRegistry()
+        result = run_campaign("GeFIN-ARM", "sha", "l1d", injections=8,
+                              seed=5, prune="analyze", audit=2,
+                              guard="basic", tracer=Tracer(sink),
+                              metrics=campaign_metrics)
+        result.classify()
+        names = set(sink.names())
+        sched = Scheduler(CampaignPlan.from_spec(study_spec(
+            prune="analyze")), tmp_path / "study", workers=1, fsync=False)
+        assert sched.run().ok
+        names |= {row["name"]
+                  for row in load_rows(tmp_path / "study/events.jsonl")}
+        with CampaignService(tmp_path / "svc", workers=1,
+                             fsync=False) as svc:
+            sid = svc.submit(study_spec(), tenant="alice")
+            svc.run_until_idle(timeout_s=120)
+        for path in (tmp_path / "svc/service-events.jsonl",
+                     tmp_path / f"svc/studies/{sid}/events.jsonl"):
+            names |= {row["name"] for row in load_rows(path)}
+        assert {"pruned", "prune_plan", "trace_recorded",
+                "study_submitted"} <= names
+        assert names - set(EVENT_NAMES) == set()
+
+        families = tuple(n for n in METRIC_NAMES if n.endswith("."))
+        metric_names = {*campaign_metrics.names(), *sched.metrics.names(),
+                        *svc.metrics.names()}
+        assert "checkpoint.bytes" in metric_names
+        assert {n for n in metric_names if n not in METRIC_NAMES
+                and not n.startswith(families)} == set()

@@ -130,6 +130,18 @@ class TestStudyFindings:
         assert checks(found) == ["logs-parse"]
         assert "missing" in found[0]["detail"]
 
+    def test_unnamed_event_mid_stream(self, study_dir):
+        # obs summarize refuses this stream, so fsck must report it —
+        # and --repair, which only truncates torn tails, leaves it.
+        events = study_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        lines.insert(2, json.dumps({"ts": 1.0}))
+        events.write_text("".join(line + "\n" for line in lines))
+        found = fsck_study(study_dir, repair=True)
+        assert checks(found) == ["events-parse"]
+        assert "events.jsonl:3: corrupt line" in found[0]["detail"]
+        assert not found[0]["repaired"]
+
     def test_unknown_unit_and_bad_state(self, study_dir):
         journal = study_dir / "journal.jsonl"
         with open(journal, "a") as fh:
@@ -160,6 +172,19 @@ class TestServiceFindings:
         shutil.copytree(root, dst)
         shutil.rmtree(dst / "studies" / sid)
         assert "missing-study-dir" in checks(fsck_service(dst))
+
+    def test_service_event_stream_checked(self, service_root, tmp_path):
+        import shutil
+        root, _ = service_root
+        dst = tmp_path / "root"
+        shutil.copytree(root, dst)
+        events = dst / "service-events.jsonl"
+        lines = events.read_text().splitlines()
+        lines.insert(1, json.dumps({"ts": 1.0, "study": "x"}))
+        events.write_text("".join(line + "\n" for line in lines))
+        found = fsck_service(dst)
+        assert checks(found) == ["events-parse"]
+        assert found[0]["path"] == str(events)
 
     def test_epoch_regression(self, service_root, tmp_path):
         import shutil

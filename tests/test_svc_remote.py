@@ -23,8 +23,9 @@ from repro.sched.scheduler import EVENTS_NAME
 from repro.svc import (CampaignService, ServiceServer, StaleFence,
                        TenantPolicy, UnknownWorker, collect_garbage,
                        load_service)
+from repro.svc.attest import RejectedComplete
 from repro.svc.chaos import NULL_CHAOS, ChaosDrop, TransportChaos
-from repro.svc.fleet import pack_text, unpack_text
+from repro.svc.fleet import pack_blob, pack_text, unpack_text
 
 SETUP = "MaFIN-x86"
 
@@ -214,6 +215,74 @@ class TestFencing:
             redo = svc.lease_remote("w2", now=time.monotonic() + 17.0)
             assert redo["unit"] == wire["unit"]
             assert redo["attempt"] == 2
+
+
+@pytest.fixture(scope="module")
+def real_unit(tmp_path_factory):
+    """spec()'s one unit, run for real: ``(result, logs, masks, blob)``
+    as a remote worker ships them (the result through JSON)."""
+    from repro.sched.worker import run_unit
+    sp = spec()
+    (unit,) = CampaignPlan.from_spec(sp)
+    work = tmp_path_factory.mktemp("real-unit")
+    res = run_unit(unit, sp, work / "logs.jsonl", work / "masks.jsonl",
+                   want_blob=True)
+    blob = res.pop("golden_blob")
+    return (json.loads(json.dumps(res)), (work / "logs.jsonl").read_text(),
+            (work / "masks.jsonl").read_text(), blob)
+
+
+class TestResultChecks:
+    """A remote result is checked whole before it settles its unit:
+    the server reads no ``metrics``, and a result it cannot settle is
+    refused before the ``done`` row, with or without attestation."""
+
+    def _complete(self, svc, wire, res, real_unit):
+        _, logs, masks, blob = real_unit
+        return svc.complete_remote({
+            "fence": wire["fence"], "worker": "w1", "result": res,
+            "logs": pack_text(logs), "masks": pack_text(masks),
+            "golden_blob": pack_blob(blob) if wire["want_blob"] else None})
+
+    @pytest.mark.parametrize("metrics", ["missing", "malformed"])
+    def test_metrics_are_not_read(self, tmp_path, real_unit, metrics):
+        res = {k: v for k, v in real_unit[0].items() if k != "metrics"}
+        if metrics == "malformed":     # an older worker's key, garbled
+            res["metrics"] = {"histograms": {"time.inject_s": {"n": 1}}}
+        with remote_service(tmp_path) as svc:
+            sid = svc.submit(spec(), tenant="alice")
+            svc.register_worker("w1")
+            wire = svc.lease_remote("w1")
+            assert self._complete(svc, wire, res, real_unit) \
+                == {"accepted": True, "duplicate": False}
+            svc.tick()
+            assert svc.study_status(sid)["state"] == "done"
+
+    @pytest.mark.parametrize("attest", [True, False])
+    def test_unnamed_event_rejected_before_any_effect(self, tmp_path,
+                                                      real_unit, attest):
+        res = real_unit[0]
+        bad = dict(res, events=res["events"] + [{"ts": 1.0}])
+        with remote_service(tmp_path, attest=attest) as svc:
+            sid = svc.submit(spec(), tenant="alice")
+            svc.register_worker("w1")
+            wire = svc.lease_remote("w1")
+            with pytest.raises(RejectedComplete) as info:
+                self._complete(svc, wire, bad, real_unit)
+            assert info.value.code == "malformed-result"
+            study_dir = tmp_path / "studies" / sid
+            fid = WorkUnit.from_dict(wire["unit"]).file_id
+            assert done_rows(study_dir / "journal.jsonl") == {}
+            assert not (study_dir / "logs" / f"{fid}.jsonl").exists()
+            # The unit retries like any rejected complete.
+            svc.tick()
+            redo = svc.lease_remote("w1")
+            assert redo["attempt"] == 2
+            assert self._complete(svc, redo, res, real_unit)["accepted"]
+            svc.tick()
+            assert svc.study_status(sid)["state"] == "done"
+            assert done_rows(study_dir / "journal.jsonl") \
+                == {wire_uid(wire): 1}
 
 
 class TestRestart:
