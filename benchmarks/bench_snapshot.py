@@ -5,7 +5,11 @@ structured ``snapshot()``/``restore(state)`` protocol (flat containers
 copied at C speed, immutable objects shared by reference).  This bench
 measures both paths on the same warmed-up machine state — checkpoint
 *take* and checkpoint *restore* separately — and records the speedup in
-``results/bench/BENCH_snapshot.json``.
+``results/bench/BENCH_snapshot.json``.  It also records what a golden
+run's whole set of checkpoints costs: the dispatcher's
+``checkpoint_bytes`` for the pristine state and every checkpoint, as a
+golden blob carries them (a memory page the states share counts once),
+and the increment each checkpoint adds to the pristine state alone.
 
 Run under pytest (``pytest benchmarks/bench_snapshot.py``) or as a CLI
 smoke check (used by the CI perf-smoke job, which fails the build when
@@ -26,6 +30,7 @@ from pathlib import Path
 
 from repro.bench import suite
 from repro.core.checkpoint import state_nbytes
+from repro.core.dispatcher import InjectorDispatcher
 from repro.sim.config import setup_config
 from repro.sim.gem5 import build_sim
 from repro.sim.kernel import ProcessExit
@@ -37,6 +42,20 @@ def _timed(fn, rounds: int) -> float:
     for _ in range(rounds):
         fn()
     return (time.perf_counter() - t0) / rounds
+
+
+def golden_store_bytes(config, program) -> dict:
+    """``checkpoint_bytes`` of one golden run at the campaign's default
+    checkpoint budget, and its increment per checkpoint over the
+    pristine state alone."""
+    dispatcher = InjectorDispatcher(config, program, n_checkpoints=10)
+    dispatcher.run_golden()
+    count = dispatcher.checkpoints.count
+    total = dispatcher.checkpoint_bytes
+    pristine = state_nbytes(dispatcher._pristine)
+    return {"golden_checkpoints": count,
+            "golden_store_bytes": total,
+            "bytes_per_checkpoint": (total - pristine) // max(count, 1)}
 
 
 def measure(setup: str = "MaFIN-x86", benchmark: str = "sha",
@@ -81,6 +100,7 @@ def measure(setup: str = "MaFIN-x86", benchmark: str = "sha",
         "warm_cycles": warm_cycles,
         "rounds": rounds,
         "checkpoint_bytes": state_nbytes(state),
+        **golden_store_bytes(config, program),
         "deepcopy_take_s": deepcopy_take_s,
         "deepcopy_restore_s": deepcopy_restore_s,
         "snapshot_take_s": snapshot_take_s,
@@ -108,6 +128,9 @@ def render(results: dict) -> str:
         f"restore {results['speedup_restore']:.1f}x | "
         f"take+restore {results['speedup_total']:.1f}x",
         f"  checkpoint blob {results['checkpoint_bytes']:,} bytes",
+        f"  golden run: pristine + {results['golden_checkpoints']} "
+        f"checkpoints {results['golden_store_bytes']:,} bytes together, "
+        f"+{results['bytes_per_checkpoint']:,} bytes per checkpoint",
     ]
     return "\n".join(lines)
 

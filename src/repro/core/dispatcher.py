@@ -128,7 +128,7 @@ class InjectorDispatcher:
             output_hex=outcome.output.hex(), events=list(outcome.events),
             stats=dict(outcome.stats))
         self.checkpoints = store
-        self.checkpoint_bytes = store.nbytes + state_nbytes(self._pristine)
+        self.checkpoint_bytes = state_nbytes(self._pristine, *store.states)
         wall_s = time.perf_counter() - t0
         snapshot_s = pristine_s + store.snapshot_s
         if self._integrity is not None:
@@ -150,8 +150,8 @@ class InjectorDispatcher:
         self.golden = golden
         self._pristine = pristine_state
         self.checkpoints = checkpoints
-        self.checkpoint_bytes = checkpoints.nbytes + \
-            state_nbytes(pristine_state)
+        self.checkpoint_bytes = state_nbytes(pristine_state,
+                                             *checkpoints.states)
         if self._integrity is not None:
             self._integrity.seal(pristine_state, checkpoints)
 
@@ -193,7 +193,7 @@ class InjectorDispatcher:
         self._sim = build_sim(self.program, self.config)
         self._pristine = pristine
         self.checkpoints = store
-        self.checkpoint_bytes = store.nbytes + state_nbytes(pristine)
+        self.checkpoint_bytes = state_nbytes(pristine, *store.states)
 
     def _fresh_sim(self, start_cycle: int):
         """The reusable machine, positioned at or before *start_cycle*.

@@ -207,12 +207,12 @@ def chaos_leak(pristine: dict, checkpoints: CheckpointStore) -> None:
 
     Flips the first byte of the memory image in the pristine state and
     every checkpoint, emulating a faulty run's mutation leaking into the
-    shared stores.  ``Memory.snapshot()`` returns ``(bytes, perms)`` —
-    bytes are immutable, so the tuple is replaced in place in each
-    state dict, exactly the aliased-container mutation the verifier is
-    built to catch.
+    shared stores.  ``Memory.snapshot()`` returns ``(pages, perms)`` —
+    a tuple of immutable bytes pages, so the tuple is replaced in place
+    in each state dict, exactly the aliased-container mutation the
+    verifier is built to catch.
     """
-    states = [pristine] + [state for _, state in checkpoints.snapshots]
-    for state in states:
-        data, perms = state["mem"]
-        state["mem"] = (bytes([data[0] ^ 0xFF]) + data[1:], perms)
+    for state in (pristine, *checkpoints.states):
+        (first, *rest), perms = state["mem"]
+        state["mem"] = ((bytes([first[0] ^ 0xFF]) + first[1:], *rest),
+                        perms)

@@ -40,7 +40,8 @@ METRIC_NAMES = {
     "checkpoint.restores": "counter — injections started from a snapshot",
     "checkpoint.cold_starts": "counter — injections started from reset",
     "checkpoint.bytes": "counter — pickled pristine state plus snapshots, "
-                        "summed over golden runs",
+                        "each shared memory page once, summed over "
+                        "golden runs",
     "golden.cycles": "gauge — golden run length in cycles",
     "golden.checkpoints": "gauge — snapshots captured by the golden run",
     "time.golden_s": "histogram — golden run wall time",

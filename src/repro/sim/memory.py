@@ -41,6 +41,9 @@ class Memory:
         self.size = size
         self.data = bytearray(size)
         self.perms: dict[int, int] = {}
+        # The pages of the last snapshot or restore: the base whose
+        # unchanged pages the next snapshot shares.
+        self._pages: tuple[bytes, ...] | None = None
 
     # -- mapping ----------------------------------------------------------
 
@@ -129,11 +132,34 @@ class Memory:
     # -- snapshot protocol ------------------------------------------------
 
     def snapshot(self):
-        return (bytes(self.data), dict(self.perms))
+        """``(pages, perms)``: the image as a tuple of ``PAGE_SIZE`` bytes.
+
+        No writer tracks dirty pages, so each page is compared in place
+        against the same page of the last snapshot or restore; an equal
+        page *is* that object.  A golden run's pristine state and
+        checkpoints thus hold each unchanged page once, in memory and in
+        any one pickle of them.
+        """
+        data, base = self.data, self._pages
+        offsets = range(0, self.size, PAGE_SIZE)
+        with memoryview(data) as view:
+            if base is None:
+                pages = tuple(bytes(view[off:off + PAGE_SIZE])
+                              for off in offsets)
+            else:
+                same = data.startswith
+                pages = tuple(page if same(page, off)
+                              else bytes(view[off:off + PAGE_SIZE])
+                              for off, page in zip(offsets, base))
+        self._pages = pages
+        return (pages, dict(self.perms))
 
     def restore(self, state) -> None:
-        data, perms = state
+        pages, perms = state
         # In-place so the kernel model and caches keep their reference.
-        self.data[:] = data
+        with memoryview(self.data) as view:
+            for off, page in zip(range(0, self.size, PAGE_SIZE), pages):
+                view[off:off + PAGE_SIZE] = page
+        self._pages = pages
         self.perms.clear()
         self.perms.update(perms)

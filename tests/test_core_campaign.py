@@ -118,7 +118,7 @@ class TestCheckpointStore:
                                                interval=store.interval,
                                                max_snaps=store.max_snaps)
         assert clone.cycles == store.cycles
-        assert clone.nbytes == store.nbytes
+        assert clone.states == store.states
         target = self._FakeSim()
         clone.restore_before(25, target)
         assert target.cycle == 20

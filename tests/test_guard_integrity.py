@@ -60,8 +60,8 @@ def test_digest_detects_single_byte_drift():
         sim.step()
     state = sim.snapshot()
     before = state_digest(state)
-    data, perms = state["mem"]
-    state["mem"] = (bytes([data[0] ^ 1]) + data[1:], perms)
+    (first, *rest), perms = state["mem"]
+    state["mem"] = ((bytes([first[0] ^ 1]) + first[1:], *rest), perms)
     assert state_digest(state) != before
 
 

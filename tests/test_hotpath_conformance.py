@@ -12,6 +12,9 @@ sha256 of the resulting records (golden reference included) as sorted
 JSON.  Any change to the hot paths must leave these digests unchanged:
 the records carry the exception type and message of every crashed run,
 so a fast path that behaves differently under a fault shows up here.
+The same injections also run through a dispatcher with one checkpoint,
+adopted from a pickled golden blob, so restore-point spacing and
+page-shared snapshot states must not change a record either.
 
 The digests were recorded before the fast paths existed.  To re-derive
 them after a change that is *meant* to alter what the simulator
@@ -28,6 +31,7 @@ import pytest
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import PERMANENT, FaultMask, FaultSet
 from repro.core.maskgen import StructureInfo
+from repro.core.parallel import adopt_golden_payload, build_golden_payload
 from repro.sim.config import setup_config
 from repro.sim.gem5 import build_sim
 
@@ -67,11 +71,33 @@ def live_entries(setup: str, cycles) -> dict:
     return out
 
 
-def conformance_records(setup: str) -> list[dict]:
+def default_dispatcher(config) -> InjectorDispatcher:
+    """The default checkpoint budget, golden run in this dispatcher."""
+    d = InjectorDispatcher(config, tiny_program(config.isa))
+    d.run_golden()
+    return d
+
+
+def sparse_adopted_dispatcher(config) -> InjectorDispatcher:
+    """A golden run with ``n_checkpoints=2``, adopted through a golden
+    blob: its one checkpoint sits at cycle 2048, so most runs cold-start,
+    and every restore reads unpickled, page-shared states."""
+    parent = InjectorDispatcher(config, tiny_program(config.isa),
+                                n_checkpoints=2)
+    parent.run_golden()
+    d = InjectorDispatcher(config, tiny_program(config.isa),
+                           n_checkpoints=2)
+    adopt_golden_payload(d, build_golden_payload(parent))
+    assert d.checkpoints.cycles == [2048]
+    return d
+
+
+def conformance_records(setup: str,
+                        make_dispatcher=default_dispatcher) -> list[dict]:
     """Golden reference plus every seeded injection record of *setup*."""
     config = setup_config(setup)
-    d = InjectorDispatcher(config, tiny_program(config.isa))
-    golden = d.run_golden()
+    d = make_dispatcher(config)
+    golden = d.golden
     sites = sorted(d.fault_sites().items())
     rngs = {name: random.Random(zlib.crc32(f"{setup}/{name}".encode()))
             for name, _ in sites}
@@ -115,6 +141,12 @@ def digest(rows: list[dict]) -> str:
 @pytest.mark.parametrize("setup", SETUPS)
 def test_fault_mode_records_match_pinned_digest(setup):
     assert digest(conformance_records(setup)) == DIGESTS[setup]
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_sparse_adopted_checkpoints_match_pinned_digest(setup):
+    records = conformance_records(setup, sparse_adopted_dispatcher)
+    assert digest(records) == DIGESTS[setup]
 
 
 if __name__ == "__main__":

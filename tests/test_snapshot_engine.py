@@ -5,20 +5,27 @@ Property under test: a machine restored from ``snapshot()`` state is
 kernel events, same exit code, same cycle count, same stats — on every
 setup, at any point of the run, whether the state is loaded into a
 fresh machine, re-loaded into a used one, or shipped to a worker
-process via the parallel payload.
+process via the parallel payload.  Memory pages a snapshot leaves
+unchanged are the very objects of the last snapshot or restore, so a
+golden run's stores hold, and pickle, each such page once.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core import parallel
+from repro.core.checkpoint import state_nbytes
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import FaultMask, FaultSet
 from repro.core.parallel import run_campaign_parallel
+from repro.guard import state_digest
 from repro.obs.summarize import load_events, summarize_events
 from repro.sim.config import setup_config
 from repro.sim.gem5 import build_sim
+from repro.sim.memory import PAGE_SHIFT, PERM_R, PERM_W, Memory
 
 from tests.helpers import tiny_program
 
@@ -96,6 +103,61 @@ class TestSnapshotEquivalence:
         # (and its liveness closures) stays valid.
         assert sim.fault_sites() is sites
         assert sites["l1d"].array is sim.l1d.data
+
+
+class TestSharedPages:
+    @pytest.mark.parametrize("setup", ("MaFIN-x86", "GeFIN-ARM"))
+    def test_golden_checkpoints_share_unchanged_pages(self, setup):
+        from repro.bench import suite
+        config = setup_config(setup, scaled=True)
+        d = InjectorDispatcher(config, suite.program("sha", config.isa, 1),
+                               n_checkpoints=10)
+        d.run_golden()
+        states = [d._pristine, *d.checkpoints.states]
+        assert len(states) >= 6
+        for older, newer in zip(states, states[1:]):
+            pages = list(zip(older["mem"][0], newer["mem"][0]))
+            # A page is shared exactly when its contents did not change,
+            # and consecutive checkpoints change few pages.
+            assert all((a is b) == (a == b) for a, b in pages)
+            assert sum(a is b for a, b in pages) >= len(pages) - 2
+        # One pickle of the pristine state and the checkpoints -- what a
+        # golden blob and the integrity vault carry -- holds each page
+        # once; unshared it would be one whole image per state.
+        together = len(pickle.dumps(states, protocol=pickle.HIGHEST_PROTOCOL))
+        assert together < 3 * state_nbytes(states[-1])
+        # checkpoint_bytes counts what that pickle carries.
+        assert d.checkpoint_bytes == state_nbytes(*states)
+        assert abs(d.checkpoint_bytes - together) < 0.1 * together
+
+    def test_one_write_makes_one_new_page(self):
+        mem = Memory(1 << 18)
+        mem.map_region(0x3000, 0x2000, PERM_R | PERM_W)
+        first, _ = mem.snapshot()
+        mem.write(0x4005, 1, 0xA5)
+        second, _ = mem.snapshot()
+        fresh = [n for n, (a, b) in enumerate(zip(first, second))
+                 if a is not b]
+        assert fresh == [0x4005 >> PAGE_SHIFT]
+        assert second[4][5] == 0xA5
+        third, _ = mem.snapshot()
+        assert all(a is b for a, b in zip(second, third))
+
+    def test_restore_after_dirty_run_matches_checkpoint(self):
+        config = setup_config("MaFIN-x86")
+        d = InjectorDispatcher(config, tiny_program(config.isa))
+        d.run_golden()
+        _, state = d.checkpoints.snapshots[0]
+        pages = state["mem"][0]
+        sim = d._sim
+        # MaFIN's caches write through, so the rest of any run dirties
+        # memory past the checkpoint.
+        sim.restore(state).run()
+        assert bytes(sim.mem.data) != b"".join(pages)
+        sim.restore(state)
+        restored = sim.snapshot()
+        assert state_digest(restored) == state_digest(state)
+        assert all(a is b for a, b in zip(restored["mem"][0], pages))
 
 
 class TestParallelShipping:
