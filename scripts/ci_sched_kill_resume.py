@@ -2,7 +2,11 @@
 
 Runs a tiny two-shard study, SIGTERMs shard 0 mid-flight, resumes it,
 merges both shards, and fails unless the merged classification equals
-an uninterrupted run of the same spec.  Usage:
+an uninterrupted run of the same spec.  A second drill SIGKILLs only
+the scheduler of an unsharded run after its first unit lands, leaving
+its unit workers orphaned mid-unit, and resumes at once: the study must
+pass ``fsck`` (no duplicate set ids from two writers of one unit's
+logs) and classify like the uninterrupted run.  Usage:
 
     PYTHONPATH=src python scripts/ci_sched_kill_resume.py [workdir]
 """
@@ -18,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sched import (DONE, StudySpec, load_journal, merge_studies,
                          run_study)
+from repro.svc.fsck import fsck_study
 
 # int_rf + l1i split 2/2 under CRC-32 mod 2 for these setups.
 SPEC = StudySpec(setups=("MaFIN-x86", "GeFIN-x86"), benchmarks=("sha",),
@@ -53,6 +58,39 @@ def run_shard_killed(study: Path) -> None:
     assert state.tally()[DONE] == len(state.unit_ids), state.tally()
 
 
+def run_scheduler_sigkilled(study: Path, baseline) -> None:
+    """SIGKILL only the scheduler after its first ``done``, resume at
+    once, then fsck the study and compare it with the baseline."""
+    # Two workers, so a second unit is mid-flight at the kill (the
+    # later --workers wins).
+    proc = subprocess.Popen([*CLI, "run", "--out", str(study), *RUN_ARGS,
+                             "--workers", "2"])
+    journal = study / "journal.jsonl"
+    deadline = time.time() + 120
+    while not (journal.exists() and '"done"' in journal.read_text()):
+        if time.time() > deadline:
+            proc.kill()
+            sys.exit("the scheduler never completed a unit")
+        time.sleep(0.05)
+    proc.kill()                    # SIGKILL to the scheduler, not its group
+    proc.wait(timeout=60)
+    rc = subprocess.run([*CLI, "resume", str(study),
+                         "--workers", "2"]).returncode
+    assert rc == 0, f"resume after SIGKILL failed with exit {rc}"
+    findings = fsck_study(study)
+    assert not findings, f"fsck findings after SIGKILL: {findings}"
+    rc = subprocess.run([sys.executable, "-m", "repro.tools", "fsck",
+                         str(study)]).returncode
+    assert rc == 0, f"fsck exited {rc}"
+    merged = merge_studies([study])
+    assert merged["complete"], f"merge incomplete: {merged['missing']}"
+    assert merged["units"] == baseline.classifications(), \
+        f"per-unit mismatch:\n{merged['units']}\nvs\n" \
+        f"{baseline.classifications()}"
+    print("scheduler SIGKILL and resume equals uninterrupted run:",
+          merged["totals"])
+
+
 def main() -> None:
     work = Path(sys.argv[1]) if len(sys.argv) > 1 else \
         Path(tempfile.mkdtemp(prefix="sched-ci-"))
@@ -73,6 +111,8 @@ def main() -> None:
         f"totals mismatch: {merged['totals']} vs {baseline.totals()}"
     print("kill-and-resume merge equals uninterrupted run:",
           merged["totals"])
+
+    run_scheduler_sigkilled(work / "sigkill", baseline)
 
 
 if __name__ == "__main__":

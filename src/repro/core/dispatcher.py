@@ -16,7 +16,8 @@ parent's golden reference, pristine state and checkpoints directly.
 The dispatcher also implements the two §III.B early-stop optimizations
 for transient faults: (i) faults landing in invalid/unused entries are
 masked immediately, and (ii) a run stops as soon as the faulty entry is
-overwritten before ever being read.
+overwritten before ever being read: the dispatcher holds a
+:class:`~repro.uarch.array.Watch`, which detaches at its first event.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class InjectorDispatcher:
         #: per-entry access trace of the paper structures for the
         #: campaign pruner (``repro.prune``); the result lands in
         #: :attr:`access_trace`.  Adds nothing to injection runs — the
-        #: recorder shadows array methods only while golden executes.
+        #: recorder observes the arrays only while golden executes.
         self.record_trace = record_trace
         self.access_trace = None
         self.golden: GoldenReference | None = None
@@ -319,7 +320,7 @@ class InjectorDispatcher:
     def _drive(self, sim, sites, pending, budget, record, watch_site,
                early_stop, deadline=None, check_every=0) -> str:
         """Step the machine to completion; returns a timeout reason."""
-        watching = False
+        watch = None
         while True:
             # Deadline granularity: the mask-apply/watch half of the
             # loop can be slow on corrupted state, so the wall-clock
@@ -334,16 +335,14 @@ class InjectorDispatcher:
                         record.early_stop = "invalid-entry"
                         record.injected = False
                         return "exit"  # guaranteed masked
-                    watch_site.array.watch_entry(mask.entry, mask.bit)
-                    watching = True
+                    watch = watch_site.array.watch_entry(mask.entry,
+                                                         mask.bit)
             sim.step()
-            if watching:
-                event = watch_site.array.watch_event()
-                if event == "overwritten":
+            if watch is not None and watch.event is not None:
+                if watch.event == "overwritten":
                     record.early_stop = "overwritten"
                     return "exit"  # guaranteed masked
-                if event == "read":
-                    watching = False  # fault consumed; must run to the end
+                watch = None  # read: fault consumed; must run to the end
             if check_every and sim.cycle % check_every == 0:
                 check_invariants(sim)
             if sim.cycle - sim.last_commit_cycle > self.deadlock_window:

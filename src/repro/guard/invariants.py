@@ -9,9 +9,9 @@ structural invariants the dispatcher evaluates at a configurable cycle
 cadence *on faulty runs only*, regardless of the setup's own checking
 density.
 
-Every check reads machine state through watch-safe accessors
-(``peek``, plain attribute reads) so evaluating an invariant can never
-perturb the §III.B early-stop watch machinery or the run itself.
+Every check reads machine state through ``peek`` and plain attribute
+reads, which no array observer hears, so evaluating an invariant can
+never perturb the §III.B early-stop watch or the run itself.
 
 A violation raises :class:`InvariantViolation` — a
 :class:`~repro.errors.SimAssertError` subclass, so it lands in the

@@ -14,7 +14,8 @@ entry of the five paper structures (RF, L1D, L1I, L2, LSQ), the cycle-
 stamped sequence of accesses observed at the storage-array boundary:
 
 ``r``
-    a read (``WordArray.read`` / ``LineArray.read_bytes``).  Dirty
+    a read (``WordArray.read`` / ``LineArray.read_bytes``, or a
+    ``peek`` whose caller reports the read).  Dirty
     evictions read the line before handing it to the next level, so a
     corrupted dirty writeback shows up as a read — never prunable.
 ``W``
@@ -22,7 +23,7 @@ stamped sequence of accesses observed at the storage-array boundary:
 ``w lo hi``
     a partial write (``LineArray.write_bytes``) touching bytes
     ``[lo, hi)`` of the line; covers a bit only if its byte is in range
-    (the same granularity as the §III.B watch machinery).
+    (the same granularity as the §III.B early-stop watch).
 ``F``
     a line fill (``LineArray.fill``) — a covering write that also makes
     the line live.
@@ -30,10 +31,11 @@ stamped sequence of accesses observed at the storage-array boundary:
     a line invalidation — whatever the line held is discarded unread
     (mirror-mode evictions, flushes).
 
-Recording works by shadowing the arrays' access methods with wrapping
-closures *on the instances*, so the hot per-cycle path pays nothing when
-no recorder is attached and the arrays need no hooks of their own.  The
-wrappers only observe; the golden execution, its checkpoints and its
+Recording puts one observer in each traced array's observer slot
+(``repro.uarch.array``), the hook the §III.B early-stop watch uses too.
+An observed array's owner takes no fast path, so every access reaches
+a method that reports it, and a trace of any fault site is exact.  The
+observers only listen: the golden execution, its checkpoints and its
 statistics are unchanged.
 
 Event stamps use the simulator's post-increment cycle counter, matching
@@ -177,8 +179,39 @@ class AccessTrace:
                    for evs in st.events.values())
 
 
+class _ArrayLog:
+    """Logs one array's accesses into a :class:`StructureTrace`."""
+
+    __slots__ = ("sim", "events", "whole")
+
+    def __init__(self, sim, trace: StructureTrace):
+        self.sim = sim
+        self.events = trace.events
+        self.whole = trace.kind == "word"   # a word write covers it all
+
+    def _note(self, entry: int, ev: list) -> None:
+        lst = self.events.get(entry)
+        if lst is None:
+            self.events[entry] = [ev]
+        elif lst[-1] != ev:
+            lst.append(ev)
+
+    def read(self, entry: int) -> None:
+        self._note(entry, [self.sim.cycle, "r"])
+
+    def write(self, entry: int, lo: int, hi: int) -> None:
+        self._note(entry, [self.sim.cycle, "W"] if self.whole
+                   else [self.sim.cycle, "w", lo, hi])
+
+    def fill(self, entry: int) -> None:
+        self._note(entry, [self.sim.cycle, "F"])
+
+    def invalidate(self, entry: int) -> None:
+        self._note(entry, [self.sim.cycle, "i"])
+
+
 class TraceRecorder:
-    """Shadows a machine's storage arrays to log golden accesses.
+    """Observes a machine's storage arrays to log golden accesses.
 
     Attach before the golden run's first ``step()``, detach after, then
     :meth:`finish` yields the :class:`AccessTrace`.  Consecutive
@@ -188,8 +221,7 @@ class TraceRecorder:
     """
 
     def __init__(self, sim, structures=PRUNE_STRUCTURES):
-        self._sim = sim
-        self._wrapped: list = []        # (array, attr, original) to undo
+        self._arrays: list = []
         self._traces: dict[str, StructureTrace] = {}
         sites = sim.fault_sites()
         for name in structures:
@@ -197,82 +229,20 @@ class TraceRecorder:
             if site is None:
                 continue
             arr = site.array
-            if hasattr(arr, "lines"):
-                st = StructureTrace(
-                    name, "line", arr.entries, arr.bits_per_entry,
-                    initial_filled=[i for i in range(arr.entries)
-                                    if arr.lines[i] is not None])
-                self._wrap_line(arr, st.events)
-            else:
-                st = StructureTrace(name, "word", arr.entries,
-                                    arr.bits_per_entry)
-                self._wrap_word(arr, st.events)
+            lines = getattr(arr, "lines", None)
+            st = StructureTrace(
+                name, "word" if lines is None else "line", arr.entries,
+                arr.bits_per_entry, initial_filled=[
+                    i for i, buf in enumerate(lines or ()) if buf is not None])
+            arr.observer = _ArrayLog(sim, st)
+            self._arrays.append(arr)
             self._traces[name] = st
 
-    # -- instance-method shadowing ----------------------------------------
-
-    def _note(self, events: dict, entry: int, ev: list) -> None:
-        lst = events.get(entry)
-        if lst is None:
-            events[entry] = [ev]
-        elif lst[-1] != ev:
-            lst.append(ev)
-
-    def _wrap_word(self, arr, events: dict) -> None:
-        sim, note = self._sim, self._note
-        orig_read, orig_write = arr.read, arr.write
-
-        def read(entry, cycle=0):
-            note(events, entry, [sim.cycle, "r"])
-            return orig_read(entry, cycle)
-
-        def write(entry, value):
-            note(events, entry, [sim.cycle, "W"])
-            return orig_write(entry, value)
-
-        self._install(arr, read=read, write=write)
-
-    def _wrap_line(self, arr, events: dict) -> None:
-        sim, note = self._sim, self._note
-        orig_read = arr.read_bytes
-        orig_write = arr.write_bytes
-        orig_fill = arr.fill
-        orig_inval = arr.invalidate
-
-        def read_bytes(line, offset, size, cycle=0):
-            note(events, line, [sim.cycle, "r"])
-            return orig_read(line, offset, size, cycle)
-
-        def write_bytes(line, offset, data):
-            note(events, line, [sim.cycle, "w", offset, offset + len(data)])
-            return orig_write(line, offset, data)
-
-        def fill(line, data):
-            note(events, line, [sim.cycle, "F"])
-            return orig_fill(line, data)
-
-        def invalidate(line):
-            note(events, line, [sim.cycle, "i"])
-            return orig_inval(line)
-
-        self._install(arr, read_bytes=read_bytes, write_bytes=write_bytes,
-                      fill=fill, invalidate=invalidate)
-
-    def _install(self, arr, **wrappers) -> None:
-        for attr, fn in wrappers.items():
-            self._wrapped.append((arr, attr))
-            setattr(arr, attr, fn)
-
-    # -- lifecycle ---------------------------------------------------------
-
     def detach(self) -> None:
-        """Remove the shadowing wrappers, restoring the class methods."""
-        for arr, attr in self._wrapped:
-            try:
-                delattr(arr, attr)
-            except AttributeError:
-                pass
-        self._wrapped.clear()
+        """Empty the observer slots this recorder filled."""
+        for arr in self._arrays:
+            arr.observer = None
+        self._arrays.clear()
 
     def finish(self, setup: str, benchmark: str, cycles: int) -> AccessTrace:
         self.detach()

@@ -17,7 +17,11 @@ blob for the parent's cache) back over a pipe and never raises —
 failures travel home as ``{"ok": False, ...}`` and become journal
 ``failed`` transitions, retries, and eventually quarantine.  The trace
 events are the unit's whole measurement: the study folds them into its
-metrics (:class:`repro.sched.study.StudyRun`).
+metrics (:class:`repro.sched.study.StudyRun`).  A worker is its unit's
+only writer: it exits once its parent is gone, and it holds an
+exclusive lock on the unit's logs from before it reads them until it
+is done, so a ``sched resume`` after a SIGKILLed scheduler waits for
+the orphan instead of appending beside it.
 
 Chaos hook (tests/CI only): the ``REPRO_SCHED_CHAOS`` environment
 variable — ``"<unit_id>=fail:N"`` or ``"<unit_id>=hang:N"`` entries
@@ -28,7 +32,10 @@ quarantine machinery is exercised deterministically.
 
 from __future__ import annotations
 
+import fcntl
+import multiprocessing as mp
 import os
+import threading
 import time
 
 from repro.core.campaign import InjectionCampaign
@@ -133,10 +140,38 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
     }
 
 
+def _exit_with_parent() -> None:
+    """End this worker process soon after its parent process dies."""
+    parent = mp.parent_process()
+    if parent is None:
+        return                       # called in-process, not a worker
+
+    def watch() -> None:
+        while os.getppid() == parent.pid:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _lock_logs(logs_path) -> int:
+    """Exclusively lock the unit's logs file; returns the locked fd.
+
+    Waits while another worker of the unit, orphaned by a killed
+    scheduler, still holds the lock.
+    """
+    os.makedirs(os.path.dirname(logs_path) or ".", exist_ok=True)
+    fd = os.open(logs_path, os.O_RDWR | os.O_CREAT, 0o644)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    return fd
+
+
 def unit_entry(conn, payload: dict) -> None:
     """Process target: run the unit, ship the result dict, never raise."""
-    unit_id = "?"
+    _exit_with_parent()
+    unit_id, lock = "?", None
     try:
+        lock = _lock_logs(payload["logs_path"])
         unit = WorkUnit.from_dict(payload["unit"])
         unit_id = unit.unit_id
         result = run_unit(
@@ -159,3 +194,5 @@ def unit_entry(conn, payload: dict) -> None:
         conn.send(result)
     finally:
         conn.close()
+        if lock is not None:
+            os.close(lock)

@@ -503,6 +503,7 @@ class OoOCore:
                 ev2 = self.l2.fill(addr, data, self.cycle)
                 line = self.l2.line_index(self.l2.set_of(addr),
                                           self.l2.lookup(addr, self.cycle))
+                # That lookup read the tag entry it hit.
                 self.l2.tags.write(line, self.l2.tags.peek(line) |
                                    self.l2._dirty_bit)
                 if ev2 is not None:
@@ -940,7 +941,7 @@ class OoOCore:
         """
         iq = self.iq
         arr = iq.array
-        fault_mode = bool(arr.stuck) or arr.watch is not None
+        fault_mode = bool(arr.stuck) or arr.observer is not None
         epoch = arr.fault_epoch
         store_epoch = self._store_epoch
         candidates = []

@@ -14,15 +14,19 @@ any bit of any entry uniformly, for all three fault models:
 
 The arrays also implement the campaign controller's two early-stop
 optimizations (§III.B): they report whether an entry is *live* at
-injection time (via an owner-provided liveness callback) and they watch
-the injected entry to detect "overwritten before ever read".
+injection time (via an owner-provided liveness callback), and a
+:class:`Watch` in their one observer slot detects "overwritten before
+ever read".  The pruner's golden trace observes through the same slot.
+Owners take their fast paths only while it is empty; ``peek`` reports
+nothing.
 
 Every array supports the structured snapshot protocol used by the
 checkpoint engine: ``snapshot()`` returns a cheap flat blob of the
-mutable state (data words/lines, stuck-bit list, watch state, fault
-epoch) and ``restore(state)`` loads such a blob back *in place*, so the
-owning structure keeps its identity — liveness closures and fault sites
-that captured the array stay valid across restores.
+mutable state (data words/lines, stuck-bit list, fault epoch) and
+``restore(state)`` loads such a blob back *in place*, so the owning
+structure keeps its identity — liveness closures and fault sites that
+captured the array stay valid across restores.  An observer is not
+machine state: ``restore`` detaches it.
 """
 
 from __future__ import annotations
@@ -45,26 +49,53 @@ class StuckBit:
         return self.start <= cycle < self.end
 
 
-class _WatchState:
-    """Tracks the first read/write of a watched entry (early-stop rule)."""
+class Watch:
+    """The §III.B early-stop watch on one (entry, bit) of *array*.
 
-    __slots__ = ("entry", "bit", "first_event")
+    :attr:`event` becomes ``"read"``, or ``"overwritten"`` for a write
+    or fill covering the bit's byte, and the watch then detaches.  An
+    invalidation is no event: the line's next fill is the overwrite.
+    """
 
-    def __init__(self, entry: int, bit: int):
+    __slots__ = ("array", "entry", "byte", "event")
+
+    def __init__(self, array: "StorageArray", entry: int, bit: int):
+        self.array = array
         self.entry = entry
-        self.bit = bit
-        self.first_event: str | None = None  # "read" | "overwritten"
+        self.byte = bit // 8
+        self.event: str | None = None
+
+    def _seen(self, event: str) -> None:
+        self.event = event
+        self.array.observer = None
+
+    def read(self, entry: int) -> None:
+        if entry == self.entry:
+            self._seen("read")
+
+    def write(self, entry: int, lo: int, hi: int) -> None:
+        if entry == self.entry and lo <= self.byte < hi:
+            self._seen("overwritten")
+
+    def fill(self, entry: int) -> None:
+        if entry == self.entry:
+            self._seen("overwritten")
+
+    def invalidate(self, entry: int) -> None:
+        pass
 
 
 class StorageArray:
-    """Common fault/watch machinery; subclasses define the storage."""
+    """Common fault/observer machinery; subclasses define the storage."""
 
     def __init__(self, name: str, entries: int, bits_per_entry: int):
         self.name = name
         self.entries = entries
         self.bits_per_entry = bits_per_entry
         self.stuck: list[StuckBit] = []
-        self.watch: _WatchState | None = None
+        # None, or what hears every access: read(entry), write(entry,
+        # lo, hi) of bytes [lo, hi), fill(entry), invalidate(entry).
+        self.observer = None
         # Bumped whenever a fault alters stored state so owners can
         # invalidate any decoded-entry caches they keep for speed.
         self.fault_epoch = 0
@@ -97,35 +128,24 @@ class StorageArray:
 
     def clear_faults(self) -> None:
         self.stuck.clear()
-        self.watch = None
+        self.observer = None
         self.fault_epoch += 1
 
-    def watch_entry(self, entry: int, bit: int) -> None:
+    def watch_entry(self, entry: int, bit: int) -> Watch:
         """Arm the overwritten-before-read detector on (entry, bit)."""
-        self.watch = _WatchState(entry, bit)
+        self.observer = watch = Watch(self, entry, bit)
+        return watch
 
-    def watch_event(self) -> str | None:
-        """First event seen on the watched entry, if any."""
-        return self.watch.first_event if self.watch else None
+    def report_read(self, entry: int) -> None:
+        """Report a read whose value the caller took from ``peek``."""
+        if self.observer is not None:
+            self.observer.read(entry)
 
     def _check(self, entry: int, bit: int) -> None:
         if not 0 <= entry < self.entries:
             raise IndexError(f"{self.name}: entry {entry} out of range")
         if not 0 <= bit < self.bits_per_entry:
             raise IndexError(f"{self.name}: bit {bit} out of range")
-
-    # -- hooks used by subclasses -----------------------------------------------
-
-    def _note_read(self, entry: int) -> None:
-        w = self.watch
-        if w is not None and w.entry == entry and w.first_event is None:
-            w.first_event = "read"
-
-    def _note_write(self, entry: int, covers_bit: bool) -> None:
-        w = self.watch
-        if w is not None and w.entry == entry and w.first_event is None \
-                and covers_bit:
-            w.first_event = "overwritten"
 
     def _flip_storage(self, entry: int, bit: int) -> None:
         raise NotImplementedError
@@ -138,21 +158,12 @@ class StorageArray:
         :class:`StuckBit` objects are never mutated after creation, so
         the list is shallow-copied and the items shared.
         """
-        w = self.watch
-        return (tuple(self.stuck),
-                (w.entry, w.bit, w.first_event) if w is not None else None,
-                self.fault_epoch)
+        return (tuple(self.stuck), self.fault_epoch)
 
     def _restore_faults(self, state) -> None:
-        stuck, watch, epoch = state
+        stuck, self.fault_epoch = state
         self.stuck = list(stuck)
-        if watch is None:
-            self.watch = None
-        else:
-            w = _WatchState(watch[0], watch[1])
-            w.first_event = watch[2]
-            self.watch = w
-        self.fault_epoch = epoch
+        self.observer = None
 
 
 class WordArray(StorageArray):
@@ -171,17 +182,17 @@ class WordArray(StorageArray):
         value = self.data[entry]
         if self.stuck:
             value = self._apply_stuck(entry, value, cycle)
-        if self.watch is not None:
-            self._note_read(entry)
+        if self.observer is not None:
+            self.observer.read(entry)
         return value
 
     def write(self, entry: int, value: int) -> None:
         self.data[entry] = value & self._mask
-        if self.watch is not None:
-            self._note_write(entry, covers_bit=True)
+        if self.observer is not None:
+            self.observer.write(entry, 0, (self.bits_per_entry + 7) // 8)
 
     def peek(self, entry: int) -> int:
-        """Read without triggering watch events (debug/tests/stats)."""
+        """Read without reporting it to the observer (liveness, tests)."""
         return self.data[entry]
 
     def _apply_stuck(self, entry: int, value: int, cycle: int) -> int:
@@ -209,9 +220,8 @@ class LineArray(StorageArray):
     """Array of cache-line-sized entries stored as bytearrays.
 
     Lines are allocated lazily (``None`` means the physical line holds
-    unobserved garbage — it is always filled before any read).  Byte-
-    granular writes only count as "overwritten" for the watch logic when
-    they cover the watched bit's byte.
+    unobserved garbage — it is always filled before any read).  A
+    byte-granular write reports the bytes it covers.
     """
 
     def __init__(self, name: str, lines: int, line_size: int):
@@ -226,8 +236,8 @@ class LineArray(StorageArray):
             raise ValueError(f"{self.name}: read of unfilled line {line}")
         if self.stuck:
             buf = self._apply_stuck(line, buf, cycle)
-        if self.watch is not None:
-            self._note_read(line)
+        if self.observer is not None:
+            self.observer.read(line)
         return bytes(buf[offset:offset + size])
 
     def write_bytes(self, line: int, offset: int, data: bytes) -> None:
@@ -235,19 +245,19 @@ class LineArray(StorageArray):
         if buf is None:
             raise ValueError(f"{self.name}: write to unfilled line {line}")
         buf[offset:offset + len(data)] = data
-        if self.watch is not None:
-            w = self.watch
-            byte = w.bit // 8
-            self._note_write(line, offset <= byte < offset + len(data))
+        if self.observer is not None:
+            self.observer.write(line, offset, offset + len(data))
 
     def fill(self, line: int, data: bytes) -> None:
-        """Install a full line (refill); counts as a covering write."""
+        """Install a full line (refill)."""
         self.lines[line] = bytearray(data)
-        if self.watch is not None:
-            self._note_write(line, covers_bit=True)
+        if self.observer is not None:
+            self.observer.fill(line)
 
     def invalidate(self, line: int) -> None:
         self.lines[line] = None
+        if self.observer is not None:
+            self.observer.invalidate(line)
 
     def is_filled(self, line: int) -> bool:
         return self.lines[line] is not None

@@ -54,8 +54,15 @@ class BTB:
         set_idx, tag = self._set_tag(pc)
         base = set_idx * self.assoc
         victim = None
+        arr = self.array
+        # No lookup need precede an update, so the scan reports what it
+        # reads: the way written depends on each tag and valid bit seen
+        # (unless direct-mapped, where it is the one way whatever it holds).
+        report = self.assoc > 1 and arr.observer is not None
         for way in range(self.assoc):
-            packed = self.array.peek(base + way)
+            packed = arr.peek(base + way)
+            if report:
+                arr.report_read(base + way)
             if packed & self._valid_bit and \
                     ((packed >> _TARGET_BITS) & ((1 << _TAG_BITS) - 1)) == tag:
                 victim = way

@@ -76,7 +76,7 @@ class Cache:
     def lookup(self, addr: int, cycle: int = 0) -> int | None:
         """Return the hitting way, or None.  Reads the tag array.
 
-        A fault-free tag array (no stuck bits, no watch) is scanned
+        A fault-free tag array (no stuck bits, no observer) is scanned
         directly; otherwise every way goes through ``WordArray.read``.
         """
         assoc = self.assoc
@@ -84,7 +84,7 @@ class Cache:
         want = ((addr >> self.tag_shift) & self._tag_mask) | self._valid_bit
         field = self._hit_mask
         tags = self.tags
-        if not tags.stuck and tags.watch is None:
+        if not tags.stuck and tags.observer is None:
             data = tags.data
             for way in range(assoc):
                 if data[base + way] & field == want:
@@ -119,6 +119,7 @@ class Cache:
         offset = addr & (self.line_size - 1)
         self.data.write_bytes(line, offset, data)
         if set_dirty and not self.mirror:
+            # The lookup that found *way* read this tag entry.
             self.tags.write(line, self.tags.peek(line) | self._dirty_bit)
 
     def is_dirty(self, line: int) -> bool:
@@ -130,6 +131,8 @@ class Cache:
     # -- fill / evict ------------------------------------------------------------
 
     def victim_way(self, set_idx: int) -> int:
+        # Every fill follows a lookup of this set that missed, and so
+        # read each way's tag entry, in the same cycle.
         base = set_idx * self.assoc
         for way in range(self.assoc):
             if not self.tags.peek(base + way) & self._valid_bit:
@@ -144,6 +147,7 @@ class Cache:
         mode a dirty line's data is read out for the writeback.
         """
         line = self.line_index(set_idx, way)
+        # Only fill calls this: see victim_way for the read before it.
         packed = self.tags.peek(line)
         if not packed & self._valid_bit:
             return None

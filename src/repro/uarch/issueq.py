@@ -10,7 +10,7 @@ not model as arrays; the paper scopes injection to storage arrays.)
 
 A decoded-entry cache keyed on the array's ``fault_epoch`` keeps the
 fault machinery off the no-fault hot path: while the packed array has
-no stuck bits and no watch, a slot whose epoch is current is exactly
+no stuck bits and no observer, a slot whose epoch is current is exactly
 the unpacked word, so :meth:`IssueQueue.insert` fills it straight from
 its arguments and :meth:`IssueQueue.wake` flips only its ready bits.
 The queue also keeps a *ready list*, the slots whose decoded sources
@@ -200,7 +200,7 @@ class IssueQueue:
         """Decoded entry; re-reads the packed word after any fault."""
         slot = self.slots[idx]
         arr = self.array
-        if arr.stuck or arr.watch is not None or \
+        if arr.stuck or arr.observer is not None or \
                 slot.epoch != arr.fault_epoch:
             self._unpack_into(slot, arr.read(idx, cycle))
         return slot
@@ -212,8 +212,8 @@ class IssueQueue:
             return
         arr = self.array
         data = arr.data
-        epoch = arr.fault_epoch if not arr.stuck and arr.watch is None \
-            else None
+        epoch = arr.fault_epoch \
+            if not arr.stuck and arr.observer is None else None
         valid = self.valid
         for idx in waiting:
             if not valid[idx]:
@@ -232,7 +232,10 @@ class IssueQueue:
                 if slot.rdy1 and slot.rdy2:
                     self.ready.add(idx)
                 continue
+            # The compare reads the stored tags before the write-back
+            # (the word stays the peeked one: stuck bits do not apply).
             word = arr.peek(idx)
+            arr.report_read(idx)
             changed = False
             if word & (1 << _OFF_HAS_SRC1) and \
                     not word & _RDY1 and \
@@ -259,11 +262,11 @@ class IssueQueue:
         """True while :attr:`ready` lists exactly the valid slots whose
         decoded sources are both ready, and every valid slot is current.
 
-        That holds while the array has no stuck bits and no watch, and
+        That holds while the array has no stuck bits and no observer, and
         no fault has bumped its epoch since the list was last rebuilt.
         """
         arr = self.array
-        return not arr.stuck and arr.watch is None and \
+        return not arr.stuck and arr.observer is None and \
             self.ready_epoch == arr.fault_epoch
 
     def occupied(self):

@@ -45,7 +45,7 @@ class StridePrefetcher:
         idx = key % entries
         tag = (key // entries) % (1 << _TAG_BITS)
         arr = self.array
-        if arr.stuck or arr.watch is not None:
+        if arr.stuck or arr.observer is not None:
             packed = arr.read(idx, cycle)
         else:
             packed = arr.data[idx]
@@ -76,9 +76,9 @@ class StridePrefetcher:
             ((addr & 0xFFFFFFFF) << self._last_shift) | \
             ((new_stride & ((1 << _STRIDE_BITS) - 1)) << self._stride_shift) \
             | conf
-        # Re-storing the word already held changes nothing unless the
-        # entry is watched (a write counts as an overwrite there).
-        if arr.watch is not None or arr.data[idx] != packed:
+        # Re-storing the word already held changes nothing unless an
+        # observer hears the write (a watch counts it as an overwrite).
+        if arr.observer is not None or arr.data[idx] != packed:
             arr.write(idx, packed)
         return target
 

@@ -51,7 +51,7 @@ class TLB:
         """Physical address for *addr*, or None on a TLB miss."""
         vpn = (addr >> PAGE_SHIFT) & ((1 << _VPN_BITS) - 1)
         arr = self.array
-        if not arr.stuck and arr.watch is None:
+        if not arr.stuck and arr.observer is None:
             if self._lut_epoch != arr.fault_epoch:
                 self._rebuild_lut()
             pfn = self._lut.get(vpn)

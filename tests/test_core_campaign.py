@@ -10,8 +10,6 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import (INTERMITTENT, PERMANENT, TRANSIENT, FaultMask,
                               FaultSet)
-from repro.core.outcome import MASKED
-from repro.core.parser import classify
 from repro.core.repository import LogsRepository, MasksRepository
 from repro.errors import CampaignError
 from repro.obs import RingBufferSink, Tracer
@@ -156,23 +154,6 @@ class TestDispatcher:
         assert a.reason == b.reason
         assert a.output_hex == b.output_hex
         assert a.early_stop == b.early_stop
-
-    def test_early_stop_agrees_with_full_run(self, golden_dispatcher):
-        """The §III.B optimizations must never change the verdict."""
-        golden = golden_dispatcher.golden
-        checked = 0
-        for i in range(12):
-            fs = FaultSet(masks=(FaultMask("l1d", (i * 3) % 32,
-                                           (i * 41) % 512,
-                                           50 + i * 97),), set_id=i)
-            fast = golden_dispatcher.inject(fs, early_stop=True)
-            slow = golden_dispatcher.inject(fs, early_stop=False)
-            if fast.early_stop is not None:
-                checked += 1
-                assert classify(slow, golden) == MASKED, (i, slow.reason)
-            else:
-                assert classify(fast, golden) == classify(slow, golden)
-        assert checked > 0  # the optimization actually fired
 
     def test_early_stop_runs_are_shorter(self, golden_dispatcher):
         fs_list = [FaultSet(masks=(FaultMask("l1d", i % 32, (i * 7) % 512,

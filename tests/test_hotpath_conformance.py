@@ -2,8 +2,11 @@
 
 The OoO core and its arrays take shortcuts on the per-instruction path
 (direct tag-array reads, decoded issue-queue slots, in-place wakeup)
-that are only valid while an array is fault-free, and each shortcut is
-gated on the array's own ``stuck``/``watch``/``fault_epoch`` state.
+that are only valid while an array is fault-free and unobserved, and
+each shortcut is gated on the array's own ``stuck``/``observer``/
+``fault_epoch`` state.  An early-stop watch sits in the observer slot
+until its first event, so the early-stop-on runs take the slow paths
+of the faulted array up to the flip's first read or overwrite.
 This fixture drives seeded injections into every structure of
 ``fault_sites()`` on all three setups -- transient flips of entries live
 at the injection cycle, with early stop on and off, and permanent

@@ -11,21 +11,25 @@ pruning: tests/test_cell_conformance.py.
 """
 
 import hashlib
+import random
+import zlib
 
 import pytest
 
 from repro.core.campaign import InjectionCampaign
+from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import INTERMITTENT, TRANSIENT, FaultMask, FaultSet
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
-from repro.prune import (PRUNE_ANALYZE, PRUNE_OFF, RULE_DEAD,
-                         RULE_NEVER_READ, RULE_OVERWRITTEN, AccessTrace,
-                         StructureTrace, TraceCache, build_prune_plan,
-                         classify_mask)
+from repro.prune import (PRUNE_ANALYZE, PRUNE_OFF, PRUNE_STRUCTURES,
+                         RULE_DEAD, RULE_NEVER_READ, RULE_OVERWRITTEN,
+                         AccessTrace, StructureTrace, TraceCache,
+                         build_prune_plan, classify_mask)
 from repro.sched.plan import StudySpec, WorkUnit
 from repro.sched.worker import run_unit
 from repro.sim.config import setup_config
 
 from tests.helpers import tiny_program
+from tests.test_hotpath_conformance import SETUPS, live_entries
 
 
 # -- the per-rule classifier on hand-built traces --------------------------
@@ -163,8 +167,9 @@ def _campaign(setup, prune, audit=0, structure="l1d", trace_cache=None):
 @pytest.fixture(scope="module", params=["MaFIN-x86", "GeFIN-x86"])
 def pruned_pair(request):
     setup = request.param
+    # The audit covers all 30 masks, so every pruned one is simulated.
     return (setup, _campaign(setup, PRUNE_OFF),
-            _campaign(setup, PRUNE_ANALYZE, audit=8))
+            _campaign(setup, PRUNE_ANALYZE, audit=30))
 
 
 class TestCampaignSoundness:
@@ -176,7 +181,8 @@ class TestCampaignSoundness:
     def test_audit_re_simulation_agrees(self, pruned_pair):
         _, _, pruned = pruned_pair
         audit = pruned.prune["audit"]
-        assert audit["checked"] > 0
+        # Exhaustive: each pruned mask was simulated and came out Masked.
+        assert audit["checked"] == pruned.prune["masked"] > 0
         assert audit["divergences"] == []
         assert audit["pristine_digest_ok"]
 
@@ -193,6 +199,46 @@ class TestCampaignSoundness:
         assert pruned.early_stops == sum(
             1 for r in pruned.records
             if r.early_stop is not None and r.pruned is None)
+
+
+class TestEarlyStopSubsumption:
+    """Early stop (§III.B) is the runtime form of the pruner's rules.
+
+    On the five traced structures, every mask that stops early with
+    prune off is one that ``analyze`` prunes, and so gives a Masked
+    record without simulation: no run that ``analyze`` simulates stops
+    early.
+    """
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_analyze_prunes_every_early_stop(self, setup):
+        config = setup_config(setup)
+        d = InjectorDispatcher(config, tiny_program(config.isa),
+                               record_trace=True)
+        d.run_golden()
+        rng = random.Random(zlib.crc32(f"subsume/{setup}".encode()))
+        cycles = [rng.randrange(1, d.golden.cycles) for _ in range(12)]
+        live = live_entries(setup, cycles)
+        sets = []
+        for name in PRUNE_STRUCTURES:
+            info = StructureInfo.of_site(d.fault_sites()[name])
+            for cycle in cycles:
+                # Every other flip aims at a live entry, so both kinds
+                # of early stop occur.
+                pool = live[cycle][name] if len(sets) % 2 else ()
+                mask = FaultMask(name, rng.choice(pool or
+                                                  range(info.entries)),
+                                 rng.randrange(info.bits_per_entry), cycle)
+                sets.append(FaultSet(masks=(mask,), set_id=len(sets)))
+        plan = build_prune_plan(sets, d.access_trace, PRUNE_ANALYZE)
+        stops = {}
+        for fs in sets:
+            record = d.inject(fs, early_stop=True)
+            if record.early_stop is not None:
+                stops[record.early_stop] = \
+                    stops.get(record.early_stop, 0) + 1
+                assert plan.decision(fs.set_id) is not None, fs.masks
+        assert stops.get("overwritten") and stops.get("invalid-entry"), stops
 
 
 class TestTraceDeterminismAndCache:

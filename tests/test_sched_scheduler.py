@@ -19,7 +19,8 @@ from repro.core.campaign import run_campaign
 from repro.sched import (DONE, QUARANTINED, CampaignPlan, Journal,
                          Scheduler, StudySpec, WorkUnit, load_journal,
                          merge_studies, run_study, run_unit, study_status)
-from repro.sched.worker import unit_entry
+from repro.sched.pool import LeasePool
+from repro.sched.worker import _lock_logs, unit_entry
 from repro.svc import fsck_study
 
 TWO_SETUPS = ("MaFIN-x86", "GeFIN-x86")
@@ -90,6 +91,76 @@ class TestUnitLosslessness:
         result = ours.recv()
         assert result["ok"] is False and result["unit"] == uid
         assert "ChaosFailure" in result["error"]
+
+
+def _hold_lease(uid, logs, pid_path):
+    """Stand-in scheduler: lease one unit, publish its pid, then idle."""
+    pool = LeasePool(1)
+    lease = pool.launch(WorkUnit.from_id(uid), spec(), logs_path=logs,
+                        masks_path=None)
+    pid_path.write_text(str(lease.proc.pid))
+    time.sleep(600)
+
+
+def _exited(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestOneWriterPerUnit:
+    """A unit's logs have one writer, even when a scheduler is SIGKILLed
+    and a resumed one leases the unit again."""
+
+    UID = f"{TWO_SETUPS[0]}/sha/int_rf/transient"
+
+    def test_worker_waits_for_the_units_other_writer(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_SCHED_CHAOS", f"{self.UID}=fail:1")
+        logs = str(tmp_path / "logs" / "unit.jsonl")
+        held = _lock_logs(logs)          # an orphan still writing
+        ours, theirs = multiprocessing.Pipe()
+        ctx = multiprocessing.get_context("spawn")
+        proc = ctx.Process(target=unit_entry, args=(theirs, {
+            "unit": WorkUnit.from_id(self.UID).to_dict(),
+            "spec": spec().to_dict(), "logs_path": logs}))
+        proc.start()
+        try:
+            assert not ours.poll(3)      # blocked on the logs lock
+        finally:
+            os.close(held)
+        assert ours.poll(60) and ours.recv()["ok"] is False
+        proc.join(timeout=30)
+        assert not proc.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_orphaned_worker_exits(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHED_CHAOS", f"{self.UID}=hang:1")
+        pid_path = tmp_path / "worker.pid"
+        sched = multiprocessing.get_context("fork").Process(
+            target=_hold_lease,
+            args=(self.UID, tmp_path / "logs.jsonl", pid_path))
+        sched.start()
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_path.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            worker = int(pid_path.read_text())
+            time.sleep(0.5)
+            assert not _exited(worker)   # hanging in its chaos sleep
+            os.kill(sched.pid, signal.SIGKILL)
+            sched.join(timeout=30)
+            deadline = time.monotonic() + 10
+            while not _exited(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _exited(worker)
+        finally:
+            for pid in (sched.pid, worker):
+                if pid is not None and not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestScheduler:

@@ -93,24 +93,27 @@ class TestWordArray:
 class TestWatch:
     def test_read_first(self):
         arr = WordArray("t", 4, 32)
-        arr.watch_entry(2, 5)
+        watch = arr.watch_entry(2, 5)
         arr.read(2)
-        assert arr.watch_event() == "read"
+        assert watch.event == "read"
+        assert arr.observer is None      # a spent watch lets go
         arr.write(2, 1)  # later write must not override
-        assert arr.watch_event() == "read"
+        assert watch.event == "read"
 
     def test_overwritten_first(self):
         arr = WordArray("t", 4, 32)
-        arr.watch_entry(2, 5)
+        watch = arr.watch_entry(2, 5)
         arr.write(2, 1)
-        assert arr.watch_event() == "overwritten"
+        assert watch.event == "overwritten"
+        assert arr.observer is None
 
     def test_other_entries_ignored(self):
         arr = WordArray("t", 4, 32)
-        arr.watch_entry(2, 5)
+        watch = arr.watch_entry(2, 5)
         arr.read(1)
         arr.write(3, 9)
-        assert arr.watch_event() is None
+        assert watch.event is None
+        assert arr.observer is watch
 
 
 class TestLineArray:
@@ -148,18 +151,21 @@ class TestLineArray:
     def test_watch_byte_granularity(self):
         arr = LineArray("l", 2, 64)
         arr.fill(0, bytes(64))
-        arr.watch_entry(0, 8 * 10)       # bit in byte 10
+        watch = arr.watch_entry(0, 8 * 10)   # bit in byte 10
         arr.write_bytes(0, 0, b"\xFF" * 5)  # bytes 0-4: not covering
-        assert arr.watch_event() is None
+        arr.invalidate(1)                   # another line
+        assert watch.event is None
         arr.write_bytes(0, 10, b"\x00")  # covers byte 10
-        assert arr.watch_event() == "overwritten"
+        assert watch.event == "overwritten"
 
     def test_fill_counts_as_covering_write(self):
         arr = LineArray("l", 2, 64)
         arr.fill(0, bytes(64))
-        arr.watch_entry(0, 0)
+        watch = arr.watch_entry(0, 0)
+        arr.invalidate(0)                # no event: the fill overwrites
+        assert watch.event is None
         arr.fill(0, bytes(64))
-        assert arr.watch_event() == "overwritten"
+        assert watch.event == "overwritten"
 
     def test_invalidate(self):
         arr = LineArray("l", 2, 64)

@@ -126,6 +126,16 @@ class TestRAS:
         assert ras.pop() == 0x1008
 
 
+class _Listener:
+    """An array observer that hears every access and never detaches."""
+
+    def read(self, entry):
+        pass
+
+    def write(self, entry, lo, hi):
+        pass
+
+
 class TestTLB:
     def test_miss_insert_hit(self):
         tlb = TLB("t", 8)
@@ -164,14 +174,14 @@ class TestTLB:
     def _fast_and_slow(tlb, pages):
         """Translations through the lookup table, then through the scan.
 
-        An armed watch forces the array scan without bumping the fault
+        An observer forces the array scan without bumping the fault
         epoch, so the table is checked exactly as it stands.
         """
         addrs = [p * PAGE_SIZE for p in pages]
         fast = [tlb.translate(a) for a in addrs]
-        tlb.array.watch_entry(0, 0)
+        tlb.array.observer = _Listener()
         slow = [tlb.translate(a) for a in addrs]
-        tlb.array.watch = None
+        tlb.array.observer = None
         return fast, slow
 
     def test_lut_consistent_with_slow_path(self):
@@ -273,21 +283,23 @@ class TestPrefetcher:
     def test_train_matches_reference(self, ops):
         pref = StridePrefetcher("p", entries=_ENTRIES)
         ref = StridePrefetcher("p", entries=_ENTRIES)
+        watches = [None, None]
         for cycle, (op, *args) in enumerate(ops):
             if op == "train":
                 assert pref.train(*args, cycle=cycle) == \
                     reference_train(ref, *args, cycle=cycle)
-            for p in (pref, ref):
+            for i, p in enumerate((pref, ref)):
                 if op == "flip":
                     p.array.flip(*args)
                 elif op == "stuck":
                     p.array.set_stuck(*args, start=cycle)
                 elif op == "watch":
-                    p.array.watch_entry(*args)
+                    watches[i] = p.array.watch_entry(*args)
                 elif op == "clear":
                     p.array.clear_faults()
             assert pref.array.data == ref.array.data
-            assert pref.array.watch_event() == ref.array.watch_event()
+            events = [w.event if w else None for w in watches]
+            assert events[0] == events[1]
 
     def test_watched_entry_sees_rewrite_of_same_word(self):
         pref = StridePrefetcher("p", entries=8)
@@ -296,11 +308,11 @@ class TestPrefetcher:
         pref.train(3, 0x1040)   # now [valid | tag | 0x1040 | 0 | 0]
         word = pref.array.peek(3)
         assert pref.train(3, 0x1040) is None   # the no-op path
-        pref.array.watch_entry(3, 0)
+        watch = pref.array.watch_entry(3, 0)
         assert pref.train(3, 0x1040) is None
         assert pref.array.peek(3) == word
         # The update reads the entry before it rewrites it.
-        assert pref.array.watch_event() == "read"
+        assert watch.event == "read"
 
     def test_detects_constant_stride(self):
         pref = StridePrefetcher("p", entries=8)
