@@ -105,14 +105,14 @@ def golden_with_trace(dispatcher: InjectorDispatcher, benchmark: str,
         golden = dispatcher.run_golden()
     if cached is not None:
         tracer.emit("trace_cache_hit", setup=label, benchmark=benchmark,
-                    events=cached.n_events)
+                    events=cached.n_events, bytes=cached.nbytes)
         return golden, cached, "cache"
     trace = dispatcher.access_trace
     trace.benchmark = benchmark
     if trace_cache is not None:
         trace_cache.store(trace)
     tracer.emit("trace_recorded", setup=label, benchmark=benchmark,
-                events=trace.n_events)
+                events=trace.n_events, bytes=trace.nbytes)
     return golden, trace, "recorded"
 
 

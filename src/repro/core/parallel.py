@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import time
 import zlib
 
 from repro.core.campaign import CampaignResult, _run_cell
@@ -66,9 +67,10 @@ def build_golden_payload(dispatcher: InjectorDispatcher,
     and by ``repro.sched``'s per-unit workers.
 
     With *include_trace*, the pruner's access trace (when the golden
-    run recorded one) rides along, so a scheduler unit that adopts the
-    blob can prune without re-recording.  Pool workers here never need
-    it — pruning happens in the parent, workers only simulate.
+    run recorded one) rides along as its :meth:`AccessTrace.to_bytes`
+    form, so a scheduler unit that adopts the blob can prune without
+    re-recording.  Pool workers here never need it — pruning happens in
+    the parent, workers only simulate.
     """
     store = dispatcher.checkpoints
     payload = {
@@ -80,14 +82,21 @@ def build_golden_payload(dispatcher: InjectorDispatcher,
     }
     trace = getattr(dispatcher, "access_trace", None)
     if include_trace and trace is not None:
-        payload["trace"] = trace.to_dict()
+        payload["trace"] = trace.to_bytes()
     return zlib.compress(
         pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 1)
 
 
 def adopt_golden_payload(dispatcher: InjectorDispatcher,
                          blob: bytes) -> None:
-    """Install a :func:`build_golden_payload` blob into *dispatcher*."""
+    """Install a :func:`build_golden_payload` blob into *dispatcher*.
+
+    A trace that is not this build's trace bytes (a blob another
+    version uploaded) is left out, so ``golden_with_trace`` re-records
+    it.  Emits ``golden_adopted`` with the wall time and the sizes of
+    the blob and of the trace installed.
+    """
+    t0 = time.perf_counter()
     payload = pickle.loads(zlib.decompress(blob))
     dispatcher.adopt_golden(
         GoldenReference.from_dict(payload["golden"]),
@@ -95,8 +104,17 @@ def adopt_golden_payload(dispatcher: InjectorDispatcher,
         CheckpointStore.from_snapshots(payload["snapshots"],
                                        interval=payload["interval"],
                                        max_snaps=payload["max_snaps"]))
-    if "trace" in payload:
-        dispatcher.access_trace = AccessTrace.from_dict(payload["trace"])
+    trace = payload.get("trace")
+    trace_bytes = 0
+    if isinstance(trace, bytes):
+        try:
+            dispatcher.access_trace = AccessTrace.from_bytes(trace)
+            trace_bytes = len(trace)
+        except ValueError:
+            pass
+    dispatcher.tracer.emit("golden_adopted",
+                           wall_s=time.perf_counter() - t0,
+                           bytes=len(blob), trace_bytes=trace_bytes)
 
 
 def _worker_init(config, program, n_checkpoints: int,

@@ -45,6 +45,8 @@ METRIC_NAMES = {
     "golden.cycles": "gauge — golden run length in cycles",
     "golden.checkpoints": "gauge — snapshots captured by the golden run",
     "time.golden_s": "histogram — golden run wall time",
+    "time.golden_adopt_s": "histogram — adopting a shipped golden blob "
+                           "(unpickle, trace bytes, checkpoint store)",
     "time.maskgen_s": "histogram — mask generation wall time",
     "time.inject_s": "histogram — per-injection wall time",
     "time.classify_s": "histogram — classification wall time",
@@ -140,6 +142,8 @@ def fold_event(m: MetricsRegistry, name, ev: dict) -> None:
         m.gauge("golden.cycles").set(_count(ev.get("cycles")))
         m.gauge("golden.checkpoints").set(_count(ev.get("checkpoints")))
         m.counter("checkpoint.bytes").inc(_count(ev.get("checkpoint_bytes")))
+    elif name == "golden_adopted":
+        m.histogram("time.golden_adopt_s").observe(_seconds(ev.get("wall_s")))
     elif name == "maskgen_end":
         m.histogram("time.maskgen_s").observe(_seconds(ev.get("wall_s")))
         m.counter("masks_generated").inc(_count(ev.get("masks")))

@@ -201,6 +201,8 @@ class SummaryAccumulator:
             "golden": {"wall_s": t.golden_s, "cycles": t.golden_cycles,
                        "checkpoints": t.golden_checkpoints,
                        "runs": m.histogram("time.golden_s").count,
+                       "adopted": m.histogram("time.golden_adopt_s").count,
+                       "adopt_s": m.histogram("time.golden_adopt_s").total,
                        "snapshot_s": t.snapshot_s,
                        "checkpoint_bytes": t.checkpoint_bytes,
                        "pairs": len({(c["setup"], c["benchmark"])
@@ -306,6 +308,9 @@ def render_report(summary: dict) -> str:
     lines.append(f"golden     {g['runs']} run(s) for {g['pairs']} "
                  f"(setup, benchmark) pair(s), {g['cycles']} cycles, "
                  f"{g['checkpoints']} checkpoints")
+    if g.get("adopted"):
+        lines.append(f"           {g['adopted']} shipped blob(s) adopted "
+                     f"in {g['adopt_s']:.3f}s")
     pr = summary.get("prune", {})
     if pr.get("plans"):
         lines.append("")

@@ -32,7 +32,7 @@ from repro.obs.summarize import load_events as load_event_dicts
 #: lifecycle (repro.sched); then the service's and its fleet's.
 EVENT_NAMES = (
     "study_start", "heartbeat", "unit_leased",
-    "golden_start", "checkpoint_taken", "golden_end",
+    "golden_start", "checkpoint_taken", "golden_end", "golden_adopted",
     "trace_recorded", "trace_cache_hit",
     "maskgen_start", "maskgen_end", "prune_plan", "campaign_start",
     "inject_start", "checkpoint_restored", "cold_start",

@@ -17,12 +17,12 @@ from repro.prune.classify import (PRUNE_ANALYZE, PRUNE_OFF, PRUNE_POLICIES,
                                   build_prune_plan, classify_mask,
                                   synthetic_masked_record)
 from repro.prune.trace import (PRUNE_STRUCTURES, AccessTrace,
-                               StructureTrace, TraceRecorder)
+                               StructureTrace, TraceRecorder, pack_event)
 
 __all__ = [
     "AccessTrace", "PrunePlan", "StructureTrace", "TraceCache",
     "TraceRecorder", "PRUNE_ANALYZE", "PRUNE_OFF", "PRUNE_POLICIES",
     "PRUNE_RULES", "PRUNE_STRUCTURES", "RULE_DEAD", "RULE_NEVER_READ",
     "RULE_OVERWRITTEN", "audit_plan", "build_prune_plan", "classify_mask",
-    "synthetic_masked_record",
+    "pack_event", "synthetic_masked_record",
 ]

@@ -8,8 +8,12 @@ trace a home on disk: campaigns (and scheduler units) pass a cache
 directory, the first campaign of a pair records and stores, and every
 later campaign loads instead of re-recording.
 
-Entries are zlib-compressed canonical JSON keyed by the identity of the
-golden execution: setup label, benchmark, program scaling.  Loads are
+Entries are the zlib-compressed :meth:`AccessTrace.to_bytes` form
+behind the magic ``RPTR2``, keyed by the identity of the golden
+execution: setup label, benchmark, program scaling.  An entry of
+another trace version (an ``RPTR1`` file of an older build included)
+or a corrupt one is a miss, which the campaign re-records and
+overwrites.  Loads are
 validated downstream against the golden run's cycle count — a stale
 entry (the simulator changed) is discarded and re-recorded, never
 trusted.
@@ -24,7 +28,7 @@ from pathlib import Path
 
 from repro.prune.trace import AccessTrace
 
-_MAGIC = b"RPTR1"
+_MAGIC = b"RPTR2"
 
 
 class TraceCache:
@@ -60,8 +64,8 @@ class TraceCache:
             trace = AccessTrace.from_bytes(
                 zlib.decompress(blob[len(_MAGIC):]))
         except Exception:
-            # Corrupt or foreign file: treat as a miss; the campaign
-            # re-records and overwrites it.
+            # Corrupt, foreign or another version's file: treat as a
+            # miss; the campaign re-records and overwrites it.
             self.misses += 1
             return None
         self.hits += 1

@@ -45,12 +45,14 @@ under random sampling that saves under 1 % of the simulations
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 
 from repro.core.fault import TRANSIENT, FaultSet
 from repro.core.outcome import GoldenReference, InjectionRecord
 from repro.core.parser import DEFAULT_POLICY, classify
-from repro.prune.trace import AccessTrace
+from repro.prune.trace import (BYTE_MASK, CYCLE_SHIFT, FILL, HI_SHIFT,
+                               INVALIDATE, KIND_MASK, LO_SHIFT, PARTIAL,
+                               READ, WRITE, AccessTrace)
 
 # Prune policies (StudySpec.prune / campaign --prune).
 PRUNE_OFF = "off"
@@ -73,20 +75,22 @@ def classify_mask(struct_trace, entry: int, bit: int,
     """
     if not struct_trace.filled_at(entry, cycle):
         return RULE_DEAD
-    events = struct_trace.events_for(entry)
-    stamps = [ev[0] for ev in events]
+    words = struct_trace.events_for(entry)
     byte = bit // 8
-    for ev in events[bisect_right(stamps, cycle):]:
-        kind = ev[1]
-        if kind == "r":
+    for i in range(bisect_left(words, (cycle + 1) << CYCLE_SHIFT),
+                   len(words)):
+        word = words[i]
+        kind = word & KIND_MASK
+        if kind == READ:
             return None
-        if kind in ("W", "F"):
+        if kind == WRITE or kind == FILL:
             return RULE_OVERWRITTEN
-        if kind == "w":
-            if ev[2] <= byte < ev[3]:
+        if kind == PARTIAL:
+            if (word >> LO_SHIFT & BYTE_MASK) <= byte \
+                    < (word >> HI_SHIFT & BYTE_MASK):
                 return RULE_OVERWRITTEN
             continue                 # partial write elsewhere in the line
-        if kind == "i":
+        if kind == INVALIDATE:
             # Invalidated unread: the corrupted storage is discarded.
             return RULE_NEVER_READ
     return RULE_NEVER_READ

@@ -40,21 +40,61 @@ statistics are unchanged.
 
 Event stamps use the simulator's post-increment cycle counter, matching
 the dispatcher's drive loop: a mask at cycle *c* is applied after every
-event stamped ``<= c`` and before any event stamped ``c+1``, so
-``bisect_right(stamps, c)`` is the exact index of the first event the
-flip can influence.
+event stamped ``<= c`` and before any event stamped ``c+1``, so the
+first event the flip can influence is the first one stamped ``c+1`` or
+later.
+
+Each event is one 64-bit word, ``cycle << 19 | hi << 11 | lo << 3 |
+kind``, with kinds r=0, W=1, w=2, F=3, i=4; ``lo``/``hi`` are the byte
+range of a ``w`` and 0 for every other kind today.  An entry's events
+are one ``array('Q')`` in the order they happened, so its words ascend
+by cycle and ``bisect_left(words, (c + 1) << 19)`` is the index of the
+first event after cycle *c*.  :func:`pack_event` is the one definition
+of the layout (the recorder inlines its constants for speed).
+
+:meth:`AccessTrace.to_bytes` is the trace's one serialization, shipped
+in golden blobs and stored by the trace cache: a canonical-JSON header
+and a newline, then every entry's words, little-endian, structure by
+structure (sorted by name) and entry by entry (ascending).  The header
+holds ``version``, ``setup``, ``benchmark``, ``cycles`` and, per
+structure, ``name``, ``kind``, ``entries``, ``bits_per_entry``,
+``initial_filled`` and the ``index`` of ``[entry, count]`` pairs that
+cuts the words back into entries.  Any other ``version`` is refused,
+so a trace of an older build is re-recorded, never misread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from array import array
+from bisect import bisect_left
 
 # The five structures of the paper's study (Table IV / Figs. 2-6), and
 # the only ones the pruner reasons about.
 PRUNE_STRUCTURES = ("int_rf", "l1d", "l1i", "l2", "lsq")
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
+
+#: Event kinds, by code: read, covering write, partial write, fill,
+#: invalidate.
+EVENT_KINDS = "rWwFi"
+READ, WRITE, PARTIAL, FILL, INVALIDATE = range(len(EVENT_KINDS))
+KIND_MASK = 0x7
+LO_SHIFT = 3
+HI_SHIFT = 11
+BYTE_MASK = 0xff
+CYCLE_SHIFT = 19
+
+_SWAP = sys.byteorder != "little"     # the bytes are little-endian
+
+
+def pack_event(cycle: int, kind: str, lo: int = 0, hi: int = 0) -> int:
+    """One event as its trace word; *kind* is a letter of
+    :data:`EVENT_KINDS`."""
+    return (cycle << CYCLE_SHIFT | hi << HI_SHIFT | lo << LO_SHIFT
+            | EVENT_KINDS.index(kind))
 
 
 class StructureTrace:
@@ -72,10 +112,10 @@ class StructureTrace:
         #: Lines already filled when recording started (cycle 0 state);
         #: word arrays are always considered filled.
         self.initial_filled = frozenset(initial_filled)
-        #: entry -> chronological [cycle, kind(, lo, hi)] event lists.
-        self.events: dict[int, list] = events if events is not None else {}
+        #: entry -> chronological event words (``array('Q')``).
+        self.events: dict[int, array] = events if events is not None else {}
 
-    def events_for(self, entry: int) -> list:
+    def events_for(self, entry: int):
         return self.events.get(entry, ())
 
     def filled_at(self, entry: int, cycle: int) -> bool:
@@ -87,35 +127,15 @@ class StructureTrace:
         """
         if self.kind != "line":
             return True
-        filled = entry in self.initial_filled
-        for ev in self.events.get(entry, ()):
-            if ev[0] > cycle:
-                break
-            if ev[1] == "F":
-                filled = True
-            elif ev[1] == "i":
-                filled = False
-        return filled
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "entries": self.entries,
-            "bits_per_entry": self.bits_per_entry,
-            "initial_filled": sorted(self.initial_filled),
-            "events": {str(e): evs
-                       for e, evs in sorted(self.events.items())},
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "StructureTrace":
-        return StructureTrace(
-            name=d["name"], kind=d["kind"], entries=d["entries"],
-            bits_per_entry=d["bits_per_entry"],
-            initial_filled=d.get("initial_filled", ()),
-            events={int(e): [list(ev) for ev in evs]
-                    for e, evs in d.get("events", {}).items()})
+        words = self.events.get(entry, ())
+        for i in range(bisect_left(words, (cycle + 1) << CYCLE_SHIFT) - 1,
+                       -1, -1):
+            kind = words[i] & KIND_MASK
+            if kind == FILL:
+                return True
+            if kind == INVALIDATE:
+                return False
+        return entry in self.initial_filled
 
 
 class AccessTrace:
@@ -123,10 +143,10 @@ class AccessTrace:
 
     Fields are reassigned, never mutated in place (callers set
     ``benchmark`` after recording), and every assignment drops the
-    memoised :attr:`digest`.
+    memoised :attr:`digest` and :attr:`nbytes`.
     """
 
-    __slots__ = ("setup", "benchmark", "cycles", "structures", "_digest")
+    __slots__ = ("setup", "benchmark", "cycles", "structures", "_packed")
 
     def __init__(self, setup: str, benchmark: str, cycles: int,
                  structures: dict):
@@ -136,51 +156,95 @@ class AccessTrace:
         self.structures: dict[str, StructureTrace] = structures
 
     def __setattr__(self, name, value) -> None:
-        object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_packed", None)
         object.__setattr__(self, name, value)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": TRACE_VERSION,
-            "setup": self.setup,
-            "benchmark": self.benchmark,
-            "cycles": self.cycles,
-            "structures": {name: st.to_dict()
-                           for name, st in sorted(self.structures.items())},
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AccessTrace":
-        return AccessTrace(
-            setup=d["setup"], benchmark=d["benchmark"], cycles=d["cycles"],
-            structures={name: StructureTrace.from_dict(sd)
-                        for name, sd in d.get("structures", {}).items()})
 
     def to_bytes(self) -> bytes:
         """Canonical serialization — byte-identical for identical runs."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode()
+        header = {"version": TRACE_VERSION, "setup": self.setup,
+                  "benchmark": self.benchmark, "cycles": self.cycles,
+                  "structures": []}
+        arrays = []
+        for name, st in sorted(self.structures.items()):
+            entries = sorted(st.events)
+            header["structures"].append({
+                "name": name, "kind": st.kind, "entries": st.entries,
+                "bits_per_entry": st.bits_per_entry,
+                "initial_filled": sorted(st.initial_filled),
+                "index": [[e, len(st.events[e])] for e in entries]})
+            arrays += [st.events[e] for e in entries]
+        if _SWAP:
+            arrays = [array("Q", words) for words in arrays]
+            for words in arrays:
+                words.byteswap()
+        head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        return b"".join([head.encode(), b"\n", *arrays])
 
     @staticmethod
     def from_bytes(blob: bytes) -> "AccessTrace":
-        return AccessTrace.from_dict(json.loads(blob.decode()))
+        """Rebuild a :meth:`to_bytes` trace; raises ValueError on
+        another version or a body that does not match its index."""
+        cut = blob.find(b"\n")
+        header = json.loads(blob[:cut] if cut >= 0 else blob)
+        version = header.get("version") if isinstance(header, dict) \
+            else None
+        if version != TRACE_VERSION:
+            raise ValueError(f"access trace version {version!r}; this "
+                             f"build reads version {TRACE_VERSION}")
+        body = memoryview(blob)[cut + 1:]
+        structures = {}
+        pos = 0
+        for sd in header["structures"]:
+            events = {}
+            for entry, count in sd["index"]:
+                words = events[entry] = array("Q")
+                words.frombytes(body[pos:pos + 8 * count])
+                if _SWAP:
+                    words.byteswap()
+                pos += 8 * count
+            structures[sd["name"]] = StructureTrace(
+                sd["name"], sd["kind"], sd["entries"], sd["bits_per_entry"],
+                initial_filled=sd["initial_filled"], events=events)
+        if pos != len(body):
+            raise ValueError(f"access trace body holds {len(body)} bytes; "
+                             f"its index names {pos}")
+        trace = AccessTrace(setup=header["setup"],
+                            benchmark=header["benchmark"],
+                            cycles=header["cycles"], structures=structures)
+        object.__setattr__(trace, "_packed",
+                           (hashlib.sha256(blob).hexdigest(), len(blob)))
+        return trace
+
+    def _memo(self) -> tuple[str, int]:
+        if self._packed is None:
+            blob = self.to_bytes()
+            object.__setattr__(self, "_packed",
+                               (hashlib.sha256(blob).hexdigest(), len(blob)))
+        return self._packed
 
     @property
     def digest(self) -> str:
         """sha256 of :meth:`to_bytes`, serialised once per field state."""
-        if self._digest is None:
-            object.__setattr__(self, "_digest",
-                               hashlib.sha256(self.to_bytes()).hexdigest())
-        return self._digest
+        return self._memo()[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Length of :meth:`to_bytes`, from the same serialization."""
+        return self._memo()[1]
 
     @property
     def n_events(self) -> int:
-        return sum(len(evs) for st in self.structures.values()
-                   for evs in st.events.values())
+        return sum(len(words) for st in self.structures.values()
+                   for words in st.events.values())
 
 
 class _ArrayLog:
-    """Logs one array's accesses into a :class:`StructureTrace`."""
+    """Logs one array's accesses into a :class:`StructureTrace`.
+
+    Builds each event's word inline (see :func:`pack_event`): 19 is
+    ``CYCLE_SHIFT``, 11 ``HI_SHIFT``, 3 ``LO_SHIFT``, and the low bits
+    the kind's code.
+    """
 
     __slots__ = ("sim", "events", "whole")
 
@@ -189,25 +253,25 @@ class _ArrayLog:
         self.events = trace.events
         self.whole = trace.kind == "word"   # a word write covers it all
 
-    def _note(self, entry: int, ev: list) -> None:
-        lst = self.events.get(entry)
-        if lst is None:
-            self.events[entry] = [ev]
-        elif lst[-1] != ev:
-            lst.append(ev)
+    def _note(self, entry: int, word: int) -> None:
+        words = self.events.get(entry)
+        if words is None:
+            self.events[entry] = array("Q", (word,))
+        elif words[-1] != word:
+            words.append(word)
 
     def read(self, entry: int) -> None:
-        self._note(entry, [self.sim.cycle, "r"])
+        self._note(entry, self.sim.cycle << 19)
 
     def write(self, entry: int, lo: int, hi: int) -> None:
-        self._note(entry, [self.sim.cycle, "W"] if self.whole
-                   else [self.sim.cycle, "w", lo, hi])
+        self._note(entry, self.sim.cycle << 19 | 1 if self.whole
+                   else self.sim.cycle << 19 | hi << 11 | lo << 3 | 2)
 
     def fill(self, entry: int) -> None:
-        self._note(entry, [self.sim.cycle, "F"])
+        self._note(entry, self.sim.cycle << 19 | 3)
 
     def invalidate(self, entry: int) -> None:
-        self._note(entry, [self.sim.cycle, "i"])
+        self._note(entry, self.sim.cycle << 19 | 4)
 
 
 class TraceRecorder:

@@ -267,6 +267,19 @@ class TestSummarize:
         assert "golden     3 run(s) for 2 (setup, benchmark) pair(s)" \
             in render_report(summary)
 
+    def test_report_shows_adopted_blobs(self):
+        # One unit ran its pair's golden; two adopted the shipped blob.
+        events = [{"name": "golden_end", "ts": 1.0, "cycles": 100,
+                   "wall_s": 0.5, "checkpoints": 2}]
+        events += [{"name": "golden_adopted", "ts": 2.0, "wall_s": 0.125,
+                    "bytes": 1000, "trace_bytes": 400}] * 2
+        summary = summarize_events(events)
+        assert (summary["golden"]["runs"], summary["golden"]["adopted"],
+                summary["golden"]["adopt_s"]) == (1, 2, 0.25)
+        report = render_report(summary)
+        assert "2 shipped blob(s) adopted in 0.250s" in report
+        assert "adopted" not in render_report(summarize_events(events[:1]))
+
     def test_load_events_rejects_mid_file_garbage(self, tmp_path):
         # Corruption with complete lines after it is real corruption...
         bad = tmp_path / "bad.jsonl"

@@ -242,6 +242,14 @@ class TestFold:
             "prune.structure.l1d": 1}
         assert reg.histogram("time.golden_s").count == 2
 
+    def test_golden_adopted_folds_into_adopt_time(self):
+        reg = MetricsRegistry()
+        fold_event(reg, "golden_adopted",
+                   {"wall_s": 0.25, "bytes": 1000, "trace_bytes": 400})
+        hist = reg.histogram("time.golden_adopt_s")
+        assert (hist.count, hist.total) == (1, 0.25)
+        assert reg.histogram("time.golden_s").count == 0
+
     def test_metrics_sink_folds_what_it_is_written(self):
         reg = MetricsRegistry()
         tracer = Tracer(TeeSink(NullSink(), MetricsSink(reg)))

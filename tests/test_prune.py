@@ -11,19 +11,27 @@ pruning: tests/test_cell_conformance.py.
 """
 
 import hashlib
+import json
+import pickle
 import random
 import zlib
+from array import array
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from repro.core.campaign import InjectionCampaign
 from repro.core.dispatcher import InjectorDispatcher
 from repro.core.fault import INTERMITTENT, TRANSIENT, FaultMask, FaultSet
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
+from repro.core.parallel import adopt_golden_payload, build_golden_payload
 from repro.prune import (PRUNE_ANALYZE, PRUNE_OFF, PRUNE_STRUCTURES,
                          RULE_DEAD, RULE_NEVER_READ, RULE_OVERWRITTEN,
                          AccessTrace, StructureTrace, TraceCache,
-                         build_prune_plan, classify_mask)
+                         build_prune_plan, classify_mask, pack_event)
+from repro.prune.trace import EVENT_KINDS
 from repro.sched.plan import StudySpec, WorkUnit
 from repro.sched.worker import run_unit
 from repro.sim.config import setup_config
@@ -34,12 +42,17 @@ from tests.test_hotpath_conformance import SETUPS, live_entries
 
 # -- the per-rule classifier on hand-built traces --------------------------
 
+def packed(events):
+    """``{entry: [[cycle, kind(, lo, hi)], ...]}`` as trace words."""
+    return {entry: array("Q", [pack_event(*ev) for ev in evs])
+            for entry, evs in events.items()}
+
 def word_trace(events):
-    return StructureTrace("int_rf", "word", 8, 64, events=events)
+    return StructureTrace("int_rf", "word", 8, 64, events=packed(events))
 
 def line_trace(events, initial=(0,)):
     return StructureTrace("l1d", "line", 4, 512,
-                          initial_filled=initial, events=events)
+                          initial_filled=initial, events=packed(events))
 
 
 class TestClassifyMask:
@@ -85,6 +98,149 @@ class TestClassifyMask:
     def test_never_touched_again(self):
         st = word_trace({1: [[3, "r"]]})
         assert classify_mask(st, 1, 0, cycle=7) == RULE_NEVER_READ
+
+
+# -- the packed words against the list form they replaced ------------------
+
+def reference_filled_at(kind, initial, events, entry, cycle):
+    """Liveness by a scan of the entry's [cycle, kind(, lo, hi)] list."""
+    if kind != "line":
+        return True
+    filled = entry in initial
+    for ev in events.get(entry, ()):
+        if ev[0] > cycle:
+            break
+        if ev[1] == "F":
+            filled = True
+        elif ev[1] == "i":
+            filled = False
+    return filled
+
+
+def reference_classify(kind, initial, events, entry, bit, cycle):
+    """classify_mask over event lists, as the list-form trace did it."""
+    if not reference_filled_at(kind, initial, events, entry, cycle):
+        return RULE_DEAD
+    evs = events.get(entry, [])
+    stamps = [ev[0] for ev in evs]
+    byte = bit // 8
+    for ev in evs[bisect_right(stamps, cycle):]:
+        if ev[1] == "r":
+            return None
+        if ev[1] in ("W", "F"):
+            return RULE_OVERWRITTEN
+        if ev[1] == "w":
+            if ev[2] <= byte < ev[3]:
+                return RULE_OVERWRITTEN
+            continue
+        if ev[1] == "i":
+            return RULE_NEVER_READ
+    return RULE_NEVER_READ
+
+
+@hs.composite
+def entry_events(draw):
+    """One entry's events: cycles ascending (repeats allowed), every
+    kind, ``lo < hi <= 64`` on partial writes."""
+    cycle, out = 0, []
+    for _ in range(draw(hs.integers(0, 10))):
+        cycle += draw(hs.integers(0, 3))
+        kind = draw(hs.sampled_from(EVENT_KINDS))
+        if kind == "w":
+            lo = draw(hs.integers(0, 63))
+            out.append([cycle, kind, lo, draw(hs.integers(lo + 1, 64))])
+        else:
+            out.append([cycle, kind])
+    return out
+
+
+class TestPackedTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=hs.sampled_from(["word", "line"]),
+           initial=hs.frozensets(hs.integers(0, 3)),
+           events=hs.dictionaries(hs.integers(0, 3), entry_events(),
+                                  max_size=4))
+    def test_agrees_with_the_list_form(self, kind, initial, events):
+        st = StructureTrace("s", kind, 4, 512, initial_filled=initial,
+                            events=packed(events))
+        last = max((ev[0] for evs in events.values() for ev in evs),
+                   default=0)
+        # Every byte a partial write starts or ends at, and its
+        # neighbours, plus the line's first and last byte.
+        edges = {0, 63}
+        for evs in events.values():
+            for ev in evs:
+                if ev[1] == "w":
+                    edges |= {ev[2] - 1, ev[2], ev[3] - 1, ev[3]}
+        bits = [8 * b + b % 8 for b in sorted(edges) if 0 <= b < 64]
+        for entry in range(4):
+            for cycle in range(last + 2):
+                assert st.filled_at(entry, cycle) == reference_filled_at(
+                    kind, initial, events, entry, cycle)
+                for bit in bits:
+                    assert classify_mask(st, entry, bit, cycle) == \
+                        reference_classify(kind, initial, events, entry,
+                                           bit, cycle), (entry, bit, cycle)
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_bytes_round_trip(self, setup):
+        trace = _recorded(setup)
+        blob = trace.to_bytes()
+        again = AccessTrace.from_bytes(blob)
+        assert again.digest == trace.digest == \
+            hashlib.sha256(blob).hexdigest()
+        assert again.nbytes == len(blob)
+        assert (again.setup, again.benchmark, again.cycles) == \
+            (trace.setup, trace.benchmark, trace.cycles)
+        assert sorted(again.structures) == sorted(trace.structures) == \
+            sorted(PRUNE_STRUCTURES)
+        for name, st in trace.structures.items():
+            back = again.structures[name]
+            assert (back.kind, back.entries, back.bits_per_entry,
+                    back.initial_filled) == \
+                (st.kind, st.entries, st.bits_per_entry, st.initial_filled)
+            assert back.events == st.events
+        assert again.n_events == trace.n_events > 0
+        assert again.to_bytes() == blob
+
+    def test_other_versions_are_refused(self):
+        trace = _recorded("MaFIN-x86")
+        with pytest.raises(ValueError, match="version 1"):
+            AccessTrace.from_bytes(list_form_bytes(trace))
+        blob = trace.to_bytes()
+        with pytest.raises(ValueError, match="index"):
+            AccessTrace.from_bytes(blob[:-8])
+
+
+def _recorded(setup) -> AccessTrace:
+    config = setup_config(setup)
+    d = InjectorDispatcher(config, tiny_program(config.isa),
+                           record_trace=True)
+    d.run_golden()
+    return d.access_trace
+
+
+def list_form_bytes(trace: AccessTrace) -> bytes:
+    """*trace* in the JSON list form of trace version 1."""
+    def events(words):
+        out = []
+        for word in words:
+            ev = [word >> 19, EVENT_KINDS[word & 7]]
+            if ev[1] == "w":
+                ev += [word >> 3 & 0xff, word >> 11 & 0xff]
+            out.append(ev)
+        return out
+    return json.dumps({
+        "version": 1, "setup": trace.setup, "benchmark": trace.benchmark,
+        "cycles": trace.cycles,
+        "structures": {name: {
+            "name": name, "kind": st.kind, "entries": st.entries,
+            "bits_per_entry": st.bits_per_entry,
+            "initial_filled": sorted(st.initial_filled),
+            "events": {str(e): events(words)
+                       for e, words in sorted(st.events.items())}}
+            for name, st in sorted(trace.structures.items())},
+    }, sort_keys=True, separators=(",", ":")).encode()
 
 
 # -- plan construction -----------------------------------------------------
@@ -151,6 +307,21 @@ class TestBuildPrunePlan:
         again = plan.stats()["trace_digest"]
         assert again == hashlib.sha256(real(trace)).hexdigest()
         assert again != first["trace_digest"] and len(calls) == 2
+        # A trace adopted from a golden blob arrives as its bytes: its
+        # digest is theirs, and nothing serialises it again.
+        config = setup_config("MaFIN-x86")
+        parent = InjectorDispatcher(config, tiny_program(config.isa),
+                                    record_trace=True)
+        parent.run_golden()
+        blob = build_golden_payload(parent, include_trace=True)
+        child = InjectorDispatcher(config, tiny_program(config.isa))
+        adopt_golden_payload(child, blob)
+        calls.clear()
+        adopted = build_prune_plan([_single(0, 2)], child.access_trace,
+                                   PRUNE_ANALYZE).stats()
+        assert calls == []
+        assert adopted["trace_digest"] == \
+            hashlib.sha256(real(parent.access_trace)).hexdigest()
 
 
 # -- end-to-end soundness on both setup families ---------------------------
@@ -267,6 +438,20 @@ class TestTraceDeterminismAndCache:
         result = _campaign("MaFIN-x86", PRUNE_ANALYZE, trace_cache=cache)
         assert result.prune["trace_source"] == "recorded"
 
+    def test_list_form_cache_entry_is_re_recorded(self, tmp_path):
+        # A trace cache entry as the list-form build wrote it.
+        cache = TraceCache(tmp_path)
+        first = _campaign("MaFIN-x86", PRUNE_ANALYZE, trace_cache=cache)
+        path = cache.path_for("MaFIN-x86", "tiny")
+        old = b"RPTR1" + zlib.compress(
+            list_form_bytes(cache.load("MaFIN-x86", "tiny")), 6)
+        path.write_bytes(old)
+        result = _campaign("MaFIN-x86", PRUNE_ANALYZE, trace_cache=cache)
+        assert result.prune["trace_source"] == "recorded"
+        assert result.records == first.records
+        assert result.prune["trace_digest"] == first.prune["trace_digest"]
+        assert path.read_bytes().startswith(b"RPTR2")
+
     def test_stale_cache_entry_is_re_recorded(self, tmp_path):
         cache = TraceCache(tmp_path)
         first = _campaign("MaFIN-x86", PRUNE_ANALYZE, trace_cache=cache)
@@ -297,6 +482,34 @@ class TestSchedPrune:
         assert pruned["counts"] == off["counts"]
         assert pruned["pruned"] > 0
         assert pruned["prune"]["simulated"] + pruned["pruned"] == 10
+
+    def test_blob_with_a_list_form_trace_is_re_recorded(self, tmp_path):
+        unit = WorkUnit("MaFIN-x86", "sha", "l1d")
+        spec = StudySpec(setups=("MaFIN-x86",), benchmarks=("sha",),
+                         structures=("l1d",), injections=6, seed=5,
+                         prune="analyze")
+        first = run_unit(unit, spec, tmp_path / "first.jsonl",
+                         want_blob=True)
+        adopted = run_unit(unit, spec, tmp_path / "adopted.jsonl",
+                           golden_blob=first["golden_blob"])
+        # A blob as a list-form worker uploads it: its trace is a dict.
+        payload = pickle.loads(zlib.decompress(first["golden_blob"]))
+        payload["trace"] = json.loads(list_form_bytes(
+            AccessTrace.from_bytes(payload["trace"])))
+        old = zlib.compress(pickle.dumps(payload), 1)
+        again = run_unit(unit, spec, tmp_path / "again.jsonl",
+                         golden_blob=old)
+        assert first["prune"]["trace_source"] == "recorded"
+        assert adopted["prune"]["trace_source"] == "adopted"
+        assert again["prune"]["trace_source"] == "recorded"
+        assert adopted["counts"] == again["counts"] == first["counts"]
+        adopts = [[ev for ev in res["events"]
+                   if ev["name"] == "golden_adopted"]
+                  for res in (first, adopted, again)]
+        assert adopts[0] == []
+        assert adopts[1][0]["trace_bytes"] > 0
+        assert adopts[2][0]["trace_bytes"] == 0
+        assert adopts[1][0]["bytes"] == len(first["golden_blob"])
 
     def test_resume_over_pruned_logs(self, tmp_path):
         unit = WorkUnit("MaFIN-x86", "sha", "l1d")
