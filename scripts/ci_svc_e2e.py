@@ -1,8 +1,8 @@
 """CI gate for the campaign service's end-to-end contract.
 
 Starts ``repro.tools svc serve`` as a real subprocess, submits two
-studies from two tenants over HTTP, SIGTERM-kills the service once the
-first unit lands, restarts it over the same root, streams both
+studies over HTTP, SIGTERM-kills the service once the first unit
+lands, restarts it over the same root, streams both
 ``/events`` NDJSON feeds to their deterministic ``study_complete``
 terminator, renders both study reports (plain-text endpoint + HTML
 file), and fails unless
@@ -13,7 +13,7 @@ file), and fails unless
   ``repro.tools sched status --json`` reads from the same study
   directory, and
 * the restarted fleet's cross-study golden cache recorded at least one
-  hit (both tenants target the same setup × benchmark).
+  hit (both studies target the same setup × benchmark).
 
 Usage::
 
@@ -33,7 +33,7 @@ from pathlib import Path
 CLI = [sys.executable, "-m", "repro.tools", "svc", "serve"]
 READY_RE = re.compile(r"http://([\d.]+):(\d+)/status")
 
-# Both tenants target MaFIN-x86 × sha so the second study's golden
+# Both studies target MaFIN-x86 × sha so the second study's golden
 # state must come from the fleet's cross-study cache, not a re-run.
 SPECS = {
     "alice": {"setups": ["MaFIN-x86"], "benchmarks": ["sha"],
@@ -48,8 +48,7 @@ SPECS = {
 def start_service(root: Path) -> tuple[subprocess.Popen, str]:
     """Launch ``svc serve`` on an ephemeral port; return (proc, url)."""
     proc = subprocess.Popen(
-        [*CLI, "--root", str(root), "--port", "0", "--workers", "1",
-         "--tenant", "alice:weight=3", "--tenant", "bob:weight=1"],
+        [*CLI, "--root", str(root), "--port", "0", "--workers", "1"],
         stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
     match = READY_RE.search(line)

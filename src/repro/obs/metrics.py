@@ -62,11 +62,8 @@ METRIC_NAMES = {
     "svc.studies_submitted": "counter — studies admitted by the service",
     "svc.studies_done": "counter — service studies run to completion",
     "svc.studies_cancelled": "counter — service studies cancelled",
-    "svc.quota_rejections": "counter — submissions refused by a quota",
     "svc.queue_depth": "gauge — service units queued or in flight",
     "svc.busy_workers": "gauge — fleet workers currently leasing a unit",
-    "svc.tenant_queued.": "gauge family — queued units by tenant",
-    "svc.tenant_inflight.": "gauge family — in-flight units by tenant",
     "svc.golden_cache_entries": "gauge — golden payloads in the cache",
     "svc.blobs.evicted": "counter — golden payloads released",
     "svc.remote.registrations": "counter — remote worker registrations",

@@ -58,9 +58,7 @@ class SummaryAccumulator:
                       "timeouts": 0, "quarantined": 0, "unit_wall_s": 0.0,
                       "interrupted": 0, "heartbeats": 0}
         self.svc = {"submitted": 0, "resumed": 0, "done": 0,
-                    "cancelled": 0, "quota_rejections": 0,
-                    "heartbeats": 0, "tenants": {},
-                    "quota_reasons": {}}
+                    "cancelled": 0, "heartbeats": 0, "tenants": {}}
         self.fleet = {"registrations": 0, "workers": {}, "lost": 0,
                       "revoked_fences": 0, "rejected_fences": 0,
                       "remote_leases": 0, "gc_purged": 0,
@@ -138,11 +136,6 @@ class SummaryAccumulator:
             # Per-tenant counts are submissions, not lifecycle events.
             if tenant and name == "study_submitted":
                 svc["tenants"][tenant] = svc["tenants"].get(tenant, 0) + 1
-        elif name == "quota_rejected":
-            self.svc["quota_rejections"] += 1
-            reason = ev.get("reason", "unknown")
-            self.svc["quota_reasons"][reason] = \
-                self.svc["quota_reasons"].get(reason, 0) + 1
         elif name == "svc_heartbeat":
             self.svc["heartbeats"] += 1
         elif name == "worker_registered":
@@ -232,9 +225,7 @@ class SummaryAccumulator:
                             if self.span["first_ts"] is not None else 0.0),
             "sched": dict(self.sched),
             "svc": {**self.svc,
-                    "tenants": dict(sorted(self.svc["tenants"].items())),
-                    "quota_reasons": dict(sorted(
-                        self.svc["quota_reasons"].items()))},
+                    "tenants": dict(sorted(self.svc["tenants"].items()))},
             "fleet": {**self.fleet,
                       "workers": dict(sorted(
                           self.fleet["workers"].items()))},
@@ -354,17 +345,14 @@ def render_report(summary: dict) -> str:
                 f"           unit wall  p50 {unit_lat['p50']:.3f}s  "
                 f"p90 {unit_lat['p90']:.3f}s  p99 {unit_lat['p99']:.3f}s")
     sv = summary.get("svc", {})
-    if sv.get("submitted") or sv.get("quota_rejections"):
+    if sv.get("submitted"):
         lines.append("")
         lines.append(
             f"service    {sv['submitted']} studies submitted "
             f"({sv['resumed']} resumed after restart): {sv['done']} done, "
-            f"{sv['cancelled']} cancelled; "
-            f"{sv['quota_rejections']} quota rejections")
+            f"{sv['cancelled']} cancelled")
         for tenant, count in sv.get("tenants", {}).items():
             lines.append(f"  tenant {tenant:<16s}{count:>6d} studies")
-        for reason, count in sv.get("quota_reasons", {}).items():
-            lines.append(f"  429 {reason:<19s}{count:>6d}")
     fl = summary.get("fleet", {})
     if fl.get("registrations") or fl.get("remote_leases") \
             or fl.get("voided") or fl.get("blobs_evicted"):

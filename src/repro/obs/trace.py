@@ -40,8 +40,8 @@ EVENT_NAMES = (
     "prune_audit", "campaign_end", "classify",
     "unit_done", "unit_failed", "unit_quarantined", "study_end",
     "study_submitted", "study_running", "study_resumed", "study_done",
-    "study_cancelled", "study_reopened", "study_gc", "quota_rejected",
-    "svc_heartbeat", "blobs_evicted", "worker_registered", "worker_lost",
+    "study_cancelled", "study_reopened", "study_gc", "svc_heartbeat",
+    "blobs_evicted", "worker_registered", "worker_lost",
     "worker_distrusted", "lease_revoked", "fence_rejected",
     "attest_rejected", "challenge_passed", "challenge_failed",
     "audit_started", "audit_ok", "audit_divergence", "audit_inconclusive",

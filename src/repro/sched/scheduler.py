@@ -133,14 +133,12 @@ class Scheduler:
 
     def _loop(self, run: StudyRun) -> StudyResult:
         t0 = time.monotonic()
-        # (eligible_at, unit): pending, stale-leased and mid-retry units.
-        queue = [(0.0, unit) for unit in run.pending_units()]
         pool = LeasePool(self.workers)
         run.start(workers=self.workers)
 
         def queue_depth() -> None:
             self.metrics.gauge("sched.queue_depth").set(
-                len(queue) + len(pool.running))
+                len(run.ready) + len(pool.running))
 
         # Liveness hook for the live-monitoring layer (repro.obs.live):
         # a periodic heartbeat event carrying the leases in flight and
@@ -162,10 +160,10 @@ class Scheduler:
                           "attempt": lease.attempt,
                           "age_s": lease.age_s(now_mono)}
                          for lease in pool.running],
-                queued=len(queue), done=run.done_count(),
+                queued=len(run.ready), done=run.done_count(),
                 units=len(self.plan))
 
-        while queue or pool.running:
+        while run.ready or pool.running:
             if self._cancelled:
                 pool.terminate_all()
                 break
@@ -173,25 +171,23 @@ class Scheduler:
             # Launch leases while there are slots and eligible units.
             now = time.monotonic()
             while pool.free_slots > 0:
-                idx = next((i for i, (at, _) in enumerate(queue)
-                            if at <= now), None)
-                if idx is None:
+                unit = run.next_unit(now)
+                if unit is None:
                     break
-                run.launch(pool, queue.pop(idx)[1], self.unit_timeout_s)
+                run.launch(pool, unit, self.unit_timeout_s)
                 queue_depth()
 
-            # Results first, then deaths, then timeouts (pool order).
+            # Results first, then deaths, then timeouts (pool order); a
+            # failed unit goes back on the run's ready list.
             for lease, kind, payload in pool.poll():
                 uid = lease.unit.unit_id
                 delay = run.settle(lease, kind, payload)
-                if delay is not None:
-                    queue.append((time.monotonic() + delay, lease.unit))
                 self._notify(uid, FAILED if delay is not None
                              else run.cells[uid].state, run)
                 queue_depth()
 
             heartbeat()
-            if queue or pool.running:
+            if run.ready or pool.running:
                 time.sleep(0.01)
 
         wall_s = time.monotonic() - t0

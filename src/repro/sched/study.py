@@ -9,24 +9,29 @@ the one copy of the unit policy:
 * **replay** — completed and quarantined units come back from the
   journal as :class:`CellOutcome`\\ s, and every journaled lease, stale
   ones included, counts as a spent attempt;
+* **order** — the run's ready list holds every unit waiting for a
+  lease, in plan order; :meth:`StudyRun.next_unit` pops the first one
+  whose retry backoff is spent;
 * **lease** — the ``leased`` row is durable before the work starts;
 * **settle** — a success journals ``done`` and adopts the worker's
   trace events, which the run's tracer folds into its metrics; a
-  failure journals ``failed`` and is retried after ``backoff_s * 2 **
-  (attempt - 1)`` seconds, or quarantined once its attempt exceeds
-  ``max_retries``.  A result :func:`check_result` refuses raises
-  before anything is journaled.
+  failure journals ``failed`` and rejoins the ready list, eligible
+  after ``backoff_s * 2 ** (attempt - 1)`` seconds, or is quarantined
+  once its attempt exceeds ``max_retries``.  A result
+  :func:`check_result` refuses raises before anything is journaled.
 
 Two loops call it.  :class:`~repro.sched.scheduler.Scheduler` runs one
 study to completion on its own :class:`~repro.sched.pool.LeasePool`;
-:class:`repro.svc.fleet.WorkerFleet` runs many studies on one shared
-pool and on remote workers.  Both ship golden runs through a
+:class:`repro.svc.service.CampaignService` runs many studies on one
+shared pool and on remote workers, taking units round-robin across
+their ready lists.  Both ship golden runs through a
 :class:`GoldenCache`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -221,6 +226,10 @@ class StudyRun:
                                       shard=plan.shard_id)
         else:
             self._replay(prior)
+        # The ready list: (eligible_at, unit) for every unit waiting for
+        # a lease, stale leases included; a retry rejoins at the back.
+        self.ready: list[tuple[float, WorkUnit]] = [
+            (0.0, unit) for unit in self.pending_units()]
 
     def _replay(self, prior: JournalState) -> None:
         """Rebuild attempts and terminal outcomes from a prior journal."""
@@ -249,6 +258,15 @@ class StudyRun:
                          pending=len(self.pending_units()), **fields,
                          shard=list(shard) if shard else None,
                          spec_hash=self.spec.spec_hash, resumed=self.resumed)
+
+    def next_unit(self, now: float | None = None) -> WorkUnit | None:
+        """Pop the first ready unit whose backoff is spent, or None."""
+        now = time.monotonic() if now is None else now
+        for i, (eligible_at, unit) in enumerate(self.ready):
+            if eligible_at <= now:
+                del self.ready[i]
+                return unit
+        return None
 
     def lease(self, unit: WorkUnit, **fields) -> int:
         """Journal a lease of *unit* before its work starts.
@@ -318,8 +336,9 @@ class StudyRun:
             early_stops=res["early_stops"], attempts=lease.attempt)
 
     def fail(self, lease, reason: str, detail: str) -> float | None:
-        """Journal ``failed``; returns the retry delay, or None once the
-        unit is quarantined."""
+        """Journal ``failed`` and put the unit back on the ready list
+        behind its backoff; returns the delay, or None once the unit is
+        quarantined."""
         uid = lease.unit.unit_id
         self.record_failure(lease, reason, detail)
         self.metrics.counter("sched.units_failed").inc()
@@ -335,7 +354,9 @@ class StudyRun:
                 uid, QUARANTINED, attempts=lease.attempt, error=detail)
             return None
         self.metrics.counter("sched.retries").inc()
-        return self.backoff_s * (2 ** (lease.attempt - 1))
+        delay = self.backoff_s * (2 ** (lease.attempt - 1))
+        self.ready.append((time.monotonic() + delay, lease.unit))
+        return delay
 
     def record_failure(self, lease, reason: str, detail: str) -> None:
         """Journal a ``failed`` transition and emit ``unit_failed``."""

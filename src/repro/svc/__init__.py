@@ -1,17 +1,18 @@
 """repro.svc — campaign-as-a-service above the scheduler stack.
 
 The paper's study model is one operator, one study, one scheduler.
-This package turns that into a long-lived multi-tenant service: an
-HTTP front end (:mod:`repro.svc.api`, a route table on the
-:mod:`repro.obs.http` server that ``obs serve`` also runs on) accepts
-strictly-validated :class:`~repro.sched.plan.StudySpec` submissions,
-a weighted deficit-round-robin queue (:mod:`repro.svc.queue`) shares
-one worker fleet fairly across tenants under per-tenant quotas, the
-fleet (:mod:`repro.svc.fleet`) settles every unit through the same
-:class:`~repro.sched.study.StudyRun` policy as ``sched run`` and
-caches compressed golden payloads *across* studies, and a durable
-service journal (:mod:`repro.svc.state`) makes the whole service
-kill-and-restart safe — no unit lost, no unit re-run.
+This package turns that into a long-lived service: an HTTP front end
+(:mod:`repro.svc.api`, a route table on the :mod:`repro.obs.http`
+server that ``obs serve`` also runs on) accepts strictly-validated
+:class:`~repro.sched.plan.StudySpec` submissions, the service
+(:mod:`repro.svc.service`) takes units round-robin across the live
+studies, each in plan order from its own
+:class:`~repro.sched.study.StudyRun` ready list, the fleet
+(:mod:`repro.svc.fleet`) settles every unit through the same
+``StudyRun`` policy as ``sched run`` and caches compressed golden
+payloads *across* studies, and a durable service journal
+(:mod:`repro.svc.state`) makes the whole service kill-and-restart
+safe — no unit lost, no unit re-run.
 
 Every study the service runs uses the unchanged :mod:`repro.sched`
 on-disk layout, so ``obs serve``, ``obs report`` and ``sched status``
@@ -44,7 +45,6 @@ from repro.svc.chaos import NULL_CHAOS, TransportChaos
 from repro.svc.fleet import (RemoteLease, RemoteWorker, ServiceRun,
                              StaleFence, UnknownWorker, WorkerFleet)
 from repro.svc.fsck import fsck_path, fsck_service, fsck_study
-from repro.svc.queue import FairQueue, QuotaExceeded, TenantPolicy
 from repro.svc.remote import WorkerAgent
 from repro.svc.service import CampaignService, collect_garbage
 from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING, STUDY_DONE,
@@ -53,7 +53,6 @@ from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING, STUDY_DONE,
 
 __all__ = [
     "CampaignService", "ServiceServer",
-    "FairQueue", "TenantPolicy", "QuotaExceeded",
     "WorkerFleet", "ServiceRun",
     "RemoteWorker", "RemoteLease", "StaleFence", "UnknownWorker",
     "WorkerAgent", "TransportChaos", "NULL_CHAOS", "collect_garbage",

@@ -5,11 +5,10 @@
 
 * ``POST /studies`` — submit a study: a JSON body holding the
   :class:`~repro.sched.plan.StudySpec` fields (or ``{"tenant": ...,
-  "spec": {...}}``; the tenant may also ride in an ``X-Tenant``
-  header).  Strictly validated at the boundary — unknown fields,
-  bare-string axes and unresolvable grid names are a ``400`` whose
-  body says exactly what to fix; a tenant over quota is a ``429``
-  naming the exhausted knob.  Success is ``202`` with the study id.
+  "spec": {...}}``, the tenant a label kept in the ledger).  Strictly
+  validated at the boundary — unknown fields, bare-string axes and
+  unresolvable grid names are a ``400`` whose body says exactly what
+  to fix.  Success is ``202`` with the study id.
 * ``GET /studies`` — every study's lifecycle row.
 * ``GET /studies/{id}/status`` — live tally, injections, totals.
 * ``GET /studies/{id}/events`` — NDJSON stream of the study's unit
@@ -18,8 +17,8 @@
   the same read-to-EOF protocol as ``obs serve``.
 * ``GET /studies/{id}/report`` — the plain-text study report.
 * ``POST /studies/{id}/cancel`` — cancel (``409`` if already terminal).
-* ``GET /status`` — service-level snapshot: queue fairness state,
-  per-tenant depths, fleet occupancy, golden-cache hit rate.
+* ``GET /status`` — service-level snapshot: study tally, queued
+  units, fleet occupancy, golden-cache hit rate.
 
 Remote-fleet endpoints (the :mod:`repro.svc.remote` agent protocol):
 
@@ -75,7 +74,6 @@ from repro.svc.attest import (ChallengePending, RejectedComplete,
                               WorkerDistrusted)
 from repro.svc.chaos import TransportChaos
 from repro.svc.fleet import StaleFence, UnknownWorker
-from repro.svc.queue import QuotaExceeded
 from repro.svc.service import CampaignService
 
 #: How often the embedded scheduling loop runs one service tick.
@@ -142,7 +140,7 @@ class ServiceServer(HttpServer):
                 writer.write(blob)
             return
         if path == "/studies" and method == "POST":
-            self._submit(writer, headers, body)
+            self._submit(writer, body)
             return
         if path == "/studies" and method in ("GET", "HEAD"):
             writer.write(json_response(
@@ -189,15 +187,14 @@ class ServiceServer(HttpServer):
         writer.write(json_response(
             "404 Not Found", {"error": "not found"}))
 
-    def _submit(self, writer, headers: dict, body: bytes) -> None:
+    def _submit(self, writer, body: bytes) -> None:
         try:
             payload = json.loads(body.decode() or "null")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             writer.write(json_response(
                 "400 Bad Request", {"error": f"body is not JSON: {exc}"}))
             return
-        tenant = headers.get("x-tenant", "default")
-        spec = payload
+        tenant, spec = "default", payload
         if isinstance(payload, dict) and "spec" in payload:
             spec = payload["spec"]
             tenant = payload.get("tenant", tenant)
@@ -209,12 +206,6 @@ class ServiceServer(HttpServer):
             return
         try:
             study_id = self.service.submit(spec, tenant=tenant)
-        except QuotaExceeded as exc:
-            writer.write(json_response(
-                "429 Too Many Requests",
-                {"error": str(exc), "reason": exc.reason,
-                 "tenant": exc.tenant}))
-            return
         except ValueError as exc:
             writer.write(json_response(
                 "400 Bad Request", {"error": str(exc)}))

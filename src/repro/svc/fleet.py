@@ -4,22 +4,23 @@ Each admitted study is a :class:`ServiceRun`: a
 :class:`~repro.sched.study.StudyRun` (the unchanged :mod:`repro.sched`
 journal and event layout, so ``obs serve``, ``obs report`` and
 ``sched status`` all work on a service study directory verbatim) plus
-the study id, the tenant and the attestation bookkeeping.  The unit
-policy — write-ahead lease records, retry with exponential backoff,
-poison-unit quarantine — is ``StudyRun``'s, the same code the batch
-:class:`~repro.sched.scheduler.Scheduler` runs.
+the study id and the attestation bookkeeping.  The unit policy — the
+ready list in plan order, write-ahead lease records, retry with
+exponential backoff, poison-unit quarantine — is ``StudyRun``'s, the
+same code the batch :class:`~repro.sched.scheduler.Scheduler` runs.
 
 :class:`WorkerFleet` keeps only what a shared fleet adds: one
 :class:`~repro.sched.pool.LeasePool` for every study, routing each
 completion back through the lease's ``meta`` slot; remote leases; one
 cross-study :class:`~repro.sched.study.GoldenCache`, so the second
-tenant to study ``sha`` on ``MaFIN-x86`` pays zero golden re-runs; and
-the attestation hooks.  It does *not* decide which unit runs next;
-that is the fair queue's job (:mod:`repro.svc.queue`).
+study of ``sha`` on ``MaFIN-x86`` pays zero golden re-runs; and the
+attestation hooks.  It does *not* decide which unit runs next; the
+service takes units round-robin from the studies' ready lists
+(:meth:`repro.svc.service.CampaignService._dispatch`).
 
 Remote leases.  Besides its local slots, the fleet leases units to
 *remote workers* (:mod:`repro.svc.remote` agents connected over HTTP).
-Both kinds of lease draw from the same fair queue and settle through
+Both kinds of lease draw from the same ready lists and settle through
 the same ``StudyRun`` policy — retries, backoff and quarantine are
 identical whether a unit ran in a forked process or across the
 network.  What the network adds is uncertainty, answered with:
@@ -32,7 +33,7 @@ network.  What the network adds is uncertainty, answered with:
   detected duplicate (at-most-once journaling);
 * **heartbeat miss-budgets** — a worker silent for
   ``heartbeat_s * miss_budget`` is declared lost; its leases are
-  revoked and re-queued through the normal backoff path;
+  revoked and retried through the normal backoff path;
 * **lease reconciliation** — a fence the server holds but the worker
   stops reporting (a lease response lost in flight) is reclaimed after
   one heartbeat of grace, so no unit is orphaned.
@@ -55,12 +56,11 @@ from repro.svc.attest import CHALLENGE_GRACE_S, RejectedComplete
 
 
 class ServiceRun(StudyRun):
-    """One admitted study: a :class:`StudyRun` with its id and tenant."""
+    """One admitted study: a :class:`StudyRun` with its id."""
 
-    def __init__(self, study_id: str, tenant: str, spec: StudySpec,
-                 study_dir, **kwargs):
+    def __init__(self, study_id: str, spec: StudySpec, study_dir,
+                 **kwargs):
         self.study_id = study_id
-        self.tenant = tenant
         # Attestation bookkeeping: which DONE units came from which
         # remote worker, and which of those an audit has re-proven.
         # ``remote_done`` replays from the journal's worker-tagged done
@@ -193,7 +193,7 @@ class WorkerFleet:
         self.remote_workers: dict[str, RemoteWorker] = {}
         self.remote_leases: dict[str, RemoteLease] = {}   # fence -> lease
         self._completed_fences: set[str] = set()
-        self._pending: list[tuple] = []     # settled (run, unit, delay)
+        self._pending: list[ServiceRun] = []   # runs of settled remote leases
 
     @property
     def free_slots(self) -> int:
@@ -207,15 +207,13 @@ class WorkerFleet:
         """Lease one unit of *run* to a local slot."""
         run.launch(self.pool, unit, self.unit_timeout_s)
 
-    def poll(self, now: float | None = None) -> list[tuple]:
-        """Leases settled since the last poll, policy already applied.
+    def poll(self, now: float | None = None) -> list[ServiceRun]:
+        """The run of each lease settled since the last poll.
 
-        Each entry is ``(run, unit, delay)``: *delay* is the backoff
-        after which a failed unit should be re-queued, or None once the
-        unit is terminal (done or quarantined).  Covers both lease
-        kinds: local pool results, remote completes accepted since the
-        last poll, and revocations from remote deadline / miss-budget
-        expiry.
+        The policy is already applied: a failed unit is back on its
+        run's ready list.  Covers both lease kinds: local pool results,
+        remote completes accepted since the last poll, and revocations
+        from remote deadline / miss-budget expiry.
         """
         now = time.monotonic() if now is None else now
         self._expire_remote(now)
@@ -230,7 +228,7 @@ class WorkerFleet:
                 # becomes the reference remote completes must match.
                 self.attest.observe_golden(lease.unit, run.spec,
                                            run.logs_path(lease.unit))
-            out.append((run, lease.unit, delay))
+            out.append(run)
         return out
 
     def cancel_study(self, run: ServiceRun) -> int:
@@ -260,7 +258,7 @@ class WorkerFleet:
 
         Re-registration means the agent restarted or never heard our
         first answer; either way it holds no live leases, so any the
-        server still attributes to it are revoked and re-queued.
+        server still attributes to it are revoked and retried.
         """
         now = time.monotonic() if now is None else now
         prior = self.remote_workers.get(name)
@@ -368,7 +366,7 @@ class WorkerFleet:
                     run.study_id, lease.unit, run.spec, name,
                     lease.attempt, run.logs_path(lease.unit),
                     run.masks_path(lease.unit))
-            self._pending.append((run, lease.unit, None))
+            self._pending.append(run)
         else:
             self._fail(lease, reason or "error",
                        detail or (result or {}).get("error",
@@ -383,7 +381,7 @@ class WorkerFleet:
         Two-way reconciliation: fences the worker reports that the
         server revoked come back as the kill list (zombie leases);
         fences the server holds that the worker stopped reporting —
-        a lease response lost in flight — are reclaimed and re-queued
+        a lease response lost in flight — are reclaimed and retried
         after one ``heartbeat_s`` of grace.
         """
         now = time.monotonic() if now is None else now
@@ -463,8 +461,8 @@ class WorkerFleet:
 
     def _fail(self, lease: RemoteLease, reason: str, detail: str) -> None:
         """Settle a remote lease as failed, for the next :meth:`poll`."""
-        delay = lease.meta.fail(lease, reason, detail)
-        self._pending.append((lease.meta, lease.unit, delay))
+        lease.meta.fail(lease, reason, detail)
+        self._pending.append(lease.meta)
 
 
 def heartbeat_snapshot(pool: LeasePool,

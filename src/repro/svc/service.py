@@ -1,13 +1,15 @@
 """The campaign service core: admit, multiplex, complete, survive.
 
 :class:`CampaignService` is the engine under ``repro.tools svc serve``:
-studies arrive (HTTP or in-process), pass strict spec validation and
-the tenant's quota envelope, and their units flow through one shared
-:class:`~repro.svc.fleet.WorkerFleet` in weighted-fair order.  One
-:meth:`tick` is one scheduling round — poll completions, re-queue
-retries, promote/finish studies, launch into free slots, update
-gauges — so the HTTP layer can drive the whole service from a single
-event loop with no locks.
+studies arrive (HTTP or in-process), pass strict spec validation, and
+their units flow through one shared
+:class:`~repro.svc.fleet.WorkerFleet`.  Each study's
+:class:`~repro.sched.study.StudyRun` keeps its own ready list in plan
+order, retries included; the service takes one unit at a time
+round-robin across the live studies in submission order.  One
+:meth:`tick` is one scheduling round — poll completions, finish
+studies, launch into free slots, update gauges — so the HTTP layer can
+drive the whole service from a single event loop with no locks.
 
 Durability is layered: the service journal records study lifecycle,
 each study's own sched journal records unit transitions, and both are
@@ -18,10 +20,9 @@ a killed service count as spent attempts.
 
 Observability: service-level events (``study_submitted``,
 ``study_running``, ``study_done``, ``study_cancelled``,
-``quota_rejected``, ``svc_heartbeat``) flow to ``service-events.jsonl``
-and ``svc.*`` metrics (study counters, quota rejections, per-tenant
-queue-depth gauges, golden-cache hit/miss) live beside the fleet's
-``sched.*`` family in one registry.
+``svc_heartbeat``) flow to ``service-events.jsonl`` and ``svc.*``
+metrics (study counters, queue depth, golden-cache occupancy) live
+beside the fleet's ``sched.*`` family in one registry.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.svc.attest import (Attestor, RejectedComplete, WorkerDistrusted)
 from repro.svc.fleet import (ServiceRun, StaleFence, UnknownWorker,
                              WorkerFleet, heartbeat_snapshot, unpack_blob,
                              unpack_text)
-from repro.svc.queue import FairQueue, QuotaExceeded, TenantPolicy
 from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING,
                              SERVICE_EVENTS_NAME, SERVICE_JOURNAL_NAME,
                              STUDIES_DIR_NAME, STUDY_DONE, ServiceJournal,
@@ -48,12 +48,9 @@ from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING,
 
 
 class CampaignService:
-    """Multi-tenant, multi-study campaign engine over one worker fleet."""
+    """Multi-study campaign engine over one worker fleet."""
 
     def __init__(self, root, workers: int = 2,
-                 policies: dict[str, TenantPolicy] | None = None,
-                 default_policy: TenantPolicy | None = None,
-                 aging_s: float | None = 60.0,
                  unit_timeout_s: float | None = None,
                  max_retries: int = 2, backoff_s: float = 0.5,
                  fsync: bool = True, metrics=None, events: bool = True,
@@ -70,7 +67,6 @@ class CampaignService:
         self.backoff_s = backoff_s
         self.heartbeat_s = heartbeat_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.queue = FairQueue(policies, default_policy, aging_s=aging_s)
         self.state = load_service(self.root / SERVICE_JOURNAL_NAME)
         self.journal = ServiceJournal(self.root / SERVICE_JOURNAL_NAME,
                                       fsync=fsync)
@@ -103,7 +99,8 @@ class CampaignService:
         self._audit_pool = LeasePool(1 if self.attestor is not None else 0)
         self.tracer = (Tracer(JSONLSink(self.root / SERVICE_EVENTS_NAME))
                        if events else NULL_TRACER)
-        self.runs: dict[str, ServiceRun] = {}
+        self.runs: dict[str, ServiceRun] = {}   # in submission order
+        self._next_run = 0         # round-robin cursor into self.runs
         self._last_beat = time.monotonic()
         self._closed = False
         for rec in self.state.active():
@@ -111,15 +108,13 @@ class CampaignService:
 
     # -- admission -----------------------------------------------------------
 
-    def submit(self, spec, tenant: str = "default",
-               now: float | None = None) -> str:
+    def submit(self, spec, tenant: str = "default") -> str:
         """Admit one study; returns its id.
 
         *spec* may be an untrusted dict (validated strictly via
-        :meth:`StudySpec.parse`) or a ready :class:`StudySpec`.
-        Raises ``ValueError`` for a bad spec and
-        :class:`~repro.svc.queue.QuotaExceeded` when the tenant's
-        envelope is full — admission is all-or-nothing.
+        :meth:`StudySpec.parse`) or a ready :class:`StudySpec`; a bad
+        one raises ``ValueError`` before anything is journaled.
+        *tenant* is a label, kept in the ledger and the events.
         """
         if isinstance(spec, StudySpec):
             spec.validate()
@@ -127,13 +122,6 @@ class CampaignService:
         else:
             spec = StudySpec.parse(spec)
         plan = CampaignPlan.from_spec(spec)
-        try:
-            self.queue.admit(tenant, len(plan), now)
-        except QuotaExceeded as exc:
-            self.metrics.counter("svc.quota_rejections").inc()
-            self.tracer.emit("quota_rejected", tenant=tenant,
-                             reason=exc.reason, units=len(plan))
-            raise
         study_id = study_id_for(self.state.next_serial(), spec.spec_hash)
         # Write-ahead: the submission is durable before any state changes.
         self.journal.record_submit(study_id, tenant, spec.to_dict(),
@@ -141,25 +129,21 @@ class CampaignService:
         rec = StudyRecord(study_id, tenant, spec.to_dict(), spec.spec_hash,
                           plan.unit_ids(), time.time())
         self.state.studies[study_id] = rec
-        run = self._open_run(rec, spec)
-        for unit in run.pending_units():
-            self.queue.push(tenant, (run, unit), now)
+        self._open_run(rec, spec)
         self.metrics.counter("svc.studies_submitted").inc()
         self.tracer.emit("study_submitted", study=study_id, tenant=tenant,
                          units=len(plan), spec_hash=spec.spec_hash)
         return study_id
 
     def cancel(self, study_id: str) -> dict:
-        """Cancel a study: drop its queued units, kill its leases."""
+        """Cancel a study: drop its ready units, kill its leases."""
         rec = self._record(study_id)
         if rec.terminal:
             raise ValueError(f"study {study_id} is already {rec.state}")
         run = self.runs[study_id]
-        dropped = self.queue.remove(rec.tenant,
-                                    lambda payload: payload[0] is run)
+        dropped = len(run.ready)
+        run.ready.clear()
         killed = self.fleet.cancel_study(run)
-        for _ in range(killed):
-            self.queue.release(rec.tenant)
         self.journal.record_state(study_id, CANCELLED,
                                   detail=f"{dropped} queued dropped, "
                                          f"{killed} leases killed")
@@ -231,7 +215,7 @@ class CampaignService:
 
     def lease_remote(self, name: str, now: float | None = None) \
             -> dict | None:
-        """Dispatch one queued unit to remote worker *name*, or None."""
+        """Dispatch one ready unit to remote worker *name*, or None."""
         now = time.monotonic() if now is None else now
         if name not in self.fleet.remote_workers:
             raise UnknownWorker(name)
@@ -276,17 +260,12 @@ class CampaignService:
         """One scheduling round; returns the number of completions seen."""
         now = time.monotonic() if now is None else now
         known = set(self.fleet.remote_workers)
-        completions = self.fleet.poll(now)
+        settled = self.fleet.poll(now)
         for name in sorted(known - set(self.fleet.remote_workers)):
             self.tracer.emit("worker_lost", worker=name)
-        for run, unit, delay in completions:
+        for run in settled:
             rec = self.state.studies[run.study_id]
-            self.queue.release(rec.tenant)
-            if delay is not None:
-                if rec.terminal:
-                    continue           # cancelled while the lease ran
-                self.queue.push(rec.tenant, (run, unit), now, delay_s=delay)
-            elif run.complete and not rec.terminal \
+            if run.complete and not rec.terminal \
                     and not self._audits_pending(run):
                 self._finish_study(rec, run)
         if self.attestor is not None:
@@ -303,31 +282,37 @@ class CampaignService:
             if dispatched is None:
                 break
             self.fleet.launch(*dispatched)
-        self._gauges(now)
+        self._gauges()
         self._heartbeat(now)
-        return len(completions)
+        return len(settled)
 
     def _dispatch(self, now: float) -> tuple | None:
-        """The fair queue's next live ``(run, unit)``, or None.
+        """The next ``(run, unit)``, round-robin across live studies.
 
-        One path for local and remote leases: the fair queue decides
-        *what* runs next; only *where* differs.
+        One path for local and remote leases: each study's ready list
+        decides which of its units goes next and the cursor which study
+        gives one; only *where* it runs differs.
         """
-        while True:
-            dispatched = self.queue.next(now)
-            if dispatched is None:
-                return None
-            tenant, (run, unit) = dispatched
+        runs = list(self.runs.values())
+        for k in range(len(runs)):
+            i = (self._next_run + k) % len(runs)
+            run = runs[i]
             rec = self.state.studies[run.study_id]
-            if rec.terminal:
-                self.queue.release(tenant)
+            unit = None if rec.terminal else run.next_unit(now)
+            if unit is None:
                 continue
+            self._next_run = i + 1
             if rec.state == ACCEPTED:
                 self.journal.record_state(run.study_id, RUNNING)
                 rec.state = RUNNING
                 self.tracer.emit("study_running", study=run.study_id,
-                                 tenant=tenant)
+                                 tenant=rec.tenant)
             return run, unit
+        return None
+
+    def queued(self) -> int:
+        """Units on the studies' ready lists, backoff included."""
+        return sum(len(run.ready) for run in self.runs.values())
 
     def run_until_idle(self, poll_s: float = 0.01,
                        timeout_s: float | None = None) -> None:
@@ -335,13 +320,12 @@ class CampaignService:
         t0 = time.monotonic()
         while True:
             self.tick()
-            if not self.queue.queued() and not self.fleet.busy \
-                    and not self._audit_busy():
+            if self.idle:
                 return
             if timeout_s is not None and time.monotonic() - t0 > timeout_s:
                 raise TimeoutError(
                     f"service still busy after {timeout_s}s "
-                    f"({self.queue.queued()} queued, "
+                    f"({self.queued()} queued, "
                     f"{self.fleet.busy} in flight)")
             time.sleep(poll_s)
 
@@ -366,10 +350,10 @@ class CampaignService:
         return self.studies_dir / study_id
 
     def status(self, now: float | None = None) -> dict:
-        """Service-level snapshot: studies, queue fairness, fleet, cache."""
+        """Service-level snapshot: studies, queue, fleet, cache."""
         return {
             "studies": self.state.tally(),
-            "queue": self.queue.snapshot(now),
+            "queued": self.queued(),
             "fleet": {"workers": self.fleet.pool.workers,
                       "busy": self.fleet.busy,
                       "running": heartbeat_snapshot(self.fleet.pool, now)},
@@ -383,7 +367,7 @@ class CampaignService:
 
     @property
     def idle(self) -> bool:
-        return not self.queue.queued() and not self.fleet.busy \
+        return not self.queued() and not self.fleet.busy \
             and not self._audit_busy()
 
     def close(self) -> None:
@@ -419,7 +403,7 @@ class CampaignService:
 
     def _open_run(self, rec: StudyRecord, spec: StudySpec) -> ServiceRun:
         """Open (or, after a restart, replay) one study's run."""
-        run = ServiceRun(rec.study_id, rec.tenant, spec,
+        run = ServiceRun(rec.study_id, spec,
                          self.studies_dir / rec.study_id,
                          metrics=self.metrics, fsync=self.fsync,
                          max_retries=self.max_retries,
@@ -435,8 +419,6 @@ class CampaignService:
             # the study terminal — settle it now.
             self._finish_study(rec, run)
             return
-        for unit in run.pending_units():
-            self.queue.push(rec.tenant, (run, unit))
         self.tracer.emit("study_resumed", study=rec.study_id,
                          tenant=rec.tenant,
                          pending=len(run.pending_units()))
@@ -554,8 +536,9 @@ class CampaignService:
 
         Write-ahead ``audit_void`` journal rows retract the results on
         replay too; the lying record files are deleted (a local rerun
-        must not resume from them) and the units re-queued — each one
-        runs again exactly once, preserving at-most-once journaling.
+        must not resume from them) and the units put back on the run's
+        ready list — each one runs again exactly once, preserving
+        at-most-once journaling.
         """
         voided = sorted(uid for uid, w in run.remote_done.items()
                         if w == name and uid not in run.audited_ok)
@@ -583,7 +566,7 @@ class CampaignService:
             run.remote_done.pop(uid, None)
             run.logs_path(unit).unlink(missing_ok=True)
             run.masks_path(unit).unlink(missing_ok=True)
-            self.queue.push(rec.tenant, (run, unit))
+            run.ready.append((0.0, unit))
             self.metrics.counter("svc.attest.voided").inc()
         return len(voided)
 
@@ -595,16 +578,10 @@ class CampaignService:
             row["injections_done"] = run.injections_done()
         return row
 
-    def _gauges(self, now: float) -> None:
-        snap = self.queue.snapshot(now)
+    def _gauges(self) -> None:
         self.metrics.gauge("svc.queue_depth").set(
-            snap["queued"] + snap["inflight"])
+            self.queued() + self.fleet.busy)
         self.metrics.gauge("svc.busy_workers").set(self.fleet.busy)
-        for tenant, t in snap["tenants"].items():
-            self.metrics.gauge(f"svc.tenant_queued.{tenant}").set(
-                t["queued"])
-            self.metrics.gauge(f"svc.tenant_inflight.{tenant}").set(
-                t["inflight"])
         self.metrics.gauge("svc.golden_cache_entries").set(
             len(self.fleet.cache))
 
@@ -615,32 +592,32 @@ class CampaignService:
             return
         self._last_beat = now
         self.tracer.emit("svc_heartbeat",
-                         queued=self.queue.queued(),
-                         inflight=self.queue.inflight(),
+                         queued=self.queued(),
                          busy=self.fleet.busy,
                          studies=self.state.tally(),
                          running=heartbeat_snapshot(self.fleet.pool, now),
                          remote=self.fleet.remote_snapshot(now))
 
 
-def collect_garbage(root, policies: dict[str, TenantPolicy] | None = None,
-                    default_policy: TenantPolicy | None = None,
+def collect_garbage(root, retention_s: float | None = None,
                     now: float | None = None,
                     dry_run: bool = False) -> dict:
-    """Delete terminal study dirs past their tenant's ``retention_s``.
+    """Delete terminal study dirs older than *retention_s* seconds.
 
     Offline, journal-driven: replays ``service.jsonl``, selects
     terminal (done/cancelled), not-yet-purged studies whose
-    ``finished_ts`` is older than the owning tenant's ``retention_s``
-    (``None`` — the default — retains forever), journals a ``gc`` row
-    *before* deleting each dir (write-ahead, so a crash mid-sweep
-    leaves at worst an already-journaled dir for the next sweep), and
-    removes the tree.  Returns what was (or with *dry_run* would be)
-    purged.
+    ``finished_ts`` is at least *retention_s* old (``None`` — the
+    default — retains forever; a negative value is a ``ValueError``),
+    journals a ``gc`` row *before* deleting each dir (write-ahead, so a
+    crash mid-sweep leaves at worst an already-journaled dir for the
+    next sweep), and removes the tree.  Returns what was (or with
+    *dry_run* would be) purged.
     """
+    if retention_s is not None and retention_s < 0:
+        raise ValueError(f"retention_s must be >= 0 or None, "
+                         f"got {retention_s!r}")
     root = Path(root)
     now = time.time() if now is None else now
-    policies = dict(policies or {})
     state = load_service(root / SERVICE_JOURNAL_NAME)
     studies_dir = root / STUDIES_DIR_NAME
     candidates, resweeps = [], []
@@ -653,16 +630,14 @@ def collect_garbage(root, policies: dict[str, TenantPolicy] | None = None,
             if (studies_dir / rec.study_id).exists():
                 resweeps.append(rec.study_id)
             continue
-        pol = policies.get(rec.tenant, default_policy)
-        retention = pol.retention_s if pol is not None else None
-        if retention is None:
+        if retention_s is None:
             continue
         age = now - (rec.finished_ts or rec.submitted_ts)
-        if age < retention:
+        if age < retention_s:
             continue
         candidates.append({"id": rec.study_id, "tenant": rec.tenant,
                            "state": rec.state, "age_s": round(age, 1),
-                           "retention_s": retention})
+                           "retention_s": retention_s})
     if dry_run:
         return {"purged": [], "candidates": candidates,
                 "resweeps": resweeps, "dry_run": True}

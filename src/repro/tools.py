@@ -26,12 +26,12 @@ quarantine, and deterministic ``--shard i/n`` splitting across hosts
 (see docs/scheduler.md).
 
 ``python -m repro.tools svc serve`` runs the campaign service — HTTP
-study submission, weighted-fair multiplexing of many studies onto one
-worker fleet, per-tenant quotas, durable kill-and-restart resume —
-and ``svc submit | list | status | cancel`` are its thin HTTP clients.
-``svc worker`` joins a remote worker agent to a running service
-(fenced leases, heartbeats, content-addressed golden blobs) and
-``svc gc`` applies per-tenant result retention.  All svc endpoints can
+study submission, many studies multiplexed round-robin onto one worker
+fleet, durable kill-and-restart resume — and ``svc submit | list |
+status | cancel`` are its thin HTTP clients.  ``svc worker`` joins a
+remote worker agent to a running service (fenced leases, heartbeats,
+content-addressed golden blobs) and ``svc gc --retention-s`` deletes
+finished studies past one retention age.  All svc endpoints can
 be guarded with a shared bearer token (``--token`` / ``SVC_TOKEN``).
 Remote results are attested — ingest validation, determinism
 challenges (``--challenge``) and sampled re-execution audits
@@ -492,39 +492,6 @@ def _cmd_sched_merge(args) -> int:
     return 0 if merged["complete"] else 3
 
 
-def _parse_tenant_policy(text):
-    """--tenant NAME[:key=value,...] -> (name, TenantPolicy)."""
-    name, _, rest = text.partition(":")
-    if not name:
-        raise argparse.ArgumentTypeError(
-            f"--tenant wants NAME[:key=value,...], got {text!r}")
-    try:
-        return name, _parse_policy_kwargs(rest)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _parse_policy_kwargs(text):
-    """'weight=3,max_queued=64' -> TenantPolicy (empty -> defaults)."""
-    from repro.svc import TenantPolicy
-    integral = ("max_queued", "max_concurrent", "burst")
-    kwargs = {}
-    for part in filter(None, (p.strip() for p in text.split(","))):
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("weight", "rate", "retention_s") \
-                + integral:
-            raise ValueError(
-                f"bad policy entry {part!r}; keys: weight, max_queued, "
-                f"max_concurrent, rate, burst, retention_s")
-        try:
-            kwargs[key] = int(value) if key in integral else float(value)
-        except ValueError:
-            raise ValueError(f"policy key {key} wants a number, "
-                             f"got {value!r}") from None
-    return TenantPolicy(**kwargs)
-
-
 def _svc_token(args) -> str | None:
     """--token wins; falls back to the SVC_TOKEN environment variable."""
     token = getattr(args, "token", None)
@@ -540,9 +507,7 @@ def _cmd_svc_serve(args) -> int:
     try:
         service = CampaignService(
             args.root, workers=args.workers,
-            policies=dict(args.tenant or []),
-            default_policy=args.default_policy,
-            aging_s=args.aging_s, unit_timeout_s=args.unit_timeout_s,
+            unit_timeout_s=args.unit_timeout_s,
             max_retries=args.retries, backoff_s=args.backoff_s,
             fsync=not args.no_fsync, heartbeat_s=args.heartbeat_s,
             lease_heartbeat_s=args.lease_heartbeat_s,
@@ -644,9 +609,7 @@ def _cmd_svc_submit(args) -> int:
     else:
         print(f"repro.tools svc submit: HTTP {status}: "
               f"{body.get('error', body)}", file=sys.stderr)
-    if status == 202:
-        return 0
-    return 3 if status == 429 else 2
+    return 0 if status == 202 else 2
 
 
 def _cmd_svc_list(args) -> int:
@@ -760,10 +723,12 @@ def _cmd_svc_worker(args) -> int:
 
 def _cmd_svc_gc(args) -> int:
     from repro.svc.service import collect_garbage
-    report = collect_garbage(args.root,
-                             policies=dict(args.tenant or []),
-                             default_policy=args.default_policy,
-                             dry_run=args.dry_run)
+    try:
+        report = collect_garbage(args.root, retention_s=args.retention_s,
+                                 dry_run=args.dry_run)
+    except ValueError as exc:
+        print(f"repro.tools svc gc: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report, indent=1))
         return 0
@@ -1052,7 +1017,7 @@ def main(argv=None) -> int:
     p_mrg.set_defaults(fn=_cmd_sched_merge)
 
     p_svc = sub.add_parser(
-        "svc", help="campaign service (HTTP submission, fair queueing)")
+        "svc", help="campaign service (HTTP submission, shared fleet)")
     svc_sub = p_svc.add_subparsers(dest="svc_cmd", required=True)
 
     p_serve = svc_sub.add_parser(
@@ -1066,18 +1031,6 @@ def main(argv=None) -> int:
                               "default: 8437)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="shared worker-fleet size (default: 2)")
-    p_serve.add_argument("--tenant", action="append", default=[],
-                         type=_parse_tenant_policy, metavar="NAME[:K=V,..]",
-                         help="per-tenant policy, repeatable — e.g. "
-                              "'alice:weight=3,max_queued=64,"
-                              "max_concurrent=2,rate=1,burst=5'")
-    p_serve.add_argument("--default-policy", default=None,
-                         type=_parse_policy_kwargs, metavar="K=V,..",
-                         help="policy for tenants without a --tenant "
-                              "entry (same keys)")
-    p_serve.add_argument("--aging-s", type=float, default=60.0,
-                         help="dispatch any unit queued longer than this "
-                              "ahead of the fair rotation (default: 60)")
     p_serve.add_argument("--unit-timeout-s", type=float, default=None,
                          help="kill a unit's worker after this many "
                               "seconds and count the attempt as failed")
@@ -1133,7 +1086,9 @@ def main(argv=None) -> int:
 
     p_sub2 = svc_sub.add_parser(
         "submit", help="submit a study spec to a running service")
-    p_sub2.add_argument("--tenant", default="default")
+    p_sub2.add_argument("--tenant", default="default",
+                        help="label recorded with the study "
+                             "(default: default)")
     spec_src = p_sub2.add_mutually_exclusive_group(required=True)
     spec_src.add_argument("--spec-file", default=None,
                           help="JSON StudySpec file ('-' for stdin)")
@@ -1181,16 +1136,12 @@ def main(argv=None) -> int:
     p_wkr.set_defaults(fn=_cmd_svc_worker)
 
     p_gc = svc_sub.add_parser(
-        "gc", help="delete terminal study dirs past tenant retention")
+        "gc", help="delete terminal study dirs past their retention")
     p_gc.add_argument("--root", required=True,
                       help="service root to sweep")
-    p_gc.add_argument("--tenant", action="append", default=[],
-                      type=_parse_tenant_policy, metavar="NAME[:K=V,..]",
-                      help="per-tenant policy incl. retention_s, "
-                           "repeatable — e.g. 'alice:retention_s=86400'")
-    p_gc.add_argument("--default-policy", default=None,
-                      type=_parse_policy_kwargs, metavar="K=V,..",
-                      help="policy for tenants without a --tenant entry")
+    p_gc.add_argument("--retention-s", type=float, default=None,
+                      help="delete studies terminal for at least this "
+                           "many seconds (default: keep every study)")
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be purged, delete nothing")
     p_gc.add_argument("--json", action="store_true",

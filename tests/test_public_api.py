@@ -37,8 +37,8 @@ class TestPublicApi:
         "repro.obs.profile", "repro.obs.summarize", "repro.obs.http",
         "repro.sched", "repro.sched.plan", "repro.sched.journal",
         "repro.sched.worker", "repro.sched.scheduler", "repro.sched.study",
-        "repro.svc", "repro.svc.api", "repro.svc.queue",
-        "repro.svc.fleet", "repro.svc.service", "repro.svc.state",
+        "repro.svc", "repro.svc.api", "repro.svc.fleet",
+        "repro.svc.service", "repro.svc.state",
         "repro.core.ioutil",
         "repro.tools",
     ])

@@ -19,7 +19,9 @@ from repro.core.campaign import run_campaign
 from repro.sched import (DONE, QUARANTINED, CampaignPlan, Journal,
                          Scheduler, StudySpec, WorkUnit, load_journal,
                          merge_studies, run_study, run_unit, study_status)
-from repro.sched.pool import LeasePool
+from repro.obs.metrics import MetricsRegistry
+from repro.sched.pool import Lease, LeasePool
+from repro.sched.study import StudyRun
 from repro.sched.worker import _lock_logs, unit_entry
 from repro.svc import fsck_study
 
@@ -174,15 +176,18 @@ class TestScheduler:
                                   seed=unit.seed(sp.seed))
             assert result.cells[unit.unit_id].counts == direct.classify()
 
-    def test_cancel_and_resume_lossless(self, tmp_path):
+    def test_cancel_and_resume_lossless(self, tmp_path, monkeypatch):
         sp = spec(injections=6)
         baseline = run_study(sp, tmp_path / "baseline", workers=1)
         assert baseline.ok
 
-        # Cancel as soon as the first unit lands; the in-flight lease
-        # is terminated mid-campaign.
+        # Cancel as soon as the first unit lands.  The second unit
+        # hangs on its first attempt, so the cancel always finds it in
+        # flight and terminates it; the resume runs its attempt 2.
         study_dir = tmp_path / "study"
         plan = CampaignPlan.from_spec(sp)
+        monkeypatch.setenv("REPRO_SCHED_CHAOS",
+                           f"{plan.unit_ids()[1]}=hang:1")
         sched = Scheduler(plan, study_dir, workers=2)
         sched.progress = lambda uid, state, done, total: (
             sched.cancel() if state == DONE else None)
@@ -190,7 +195,7 @@ class TestScheduler:
         assert first.interrupted and not first.ok
         done_before = [uid for uid, c in first.cells.items()
                        if c.state == DONE]
-        assert len(done_before) >= 1
+        assert done_before == plan.unit_ids()[:1]
 
         resumed = Scheduler.resume(study_dir, workers=2).run(resume=True)
         assert resumed.ok and not resumed.interrupted
@@ -363,6 +368,40 @@ def first_leased_pairs(journal_path, n):
             journal_path.read_text().splitlines()]
     units = [row["unit"] for row in rows if row.get("state") == "leased"]
     return [tuple(uid.split("/")[:2]) for uid in units[:n]]
+
+
+class TestReadyList:
+    """StudyRun's ready list: plan order, then retries behind backoff."""
+
+    @pytest.fixture
+    def plan(self):
+        return CampaignPlan.from_spec(spec(setups=TWO_SETUPS[:1],
+                                           structures=("int_rf", "l1d")))
+
+    @pytest.fixture
+    def run(self, tmp_path, plan):
+        run = StudyRun(plan, tmp_path / "study", metrics=MetricsRegistry(),
+                       fsync=False, backoff_s=30.0)
+        yield run
+        run.close()
+
+    def test_plan_order_then_empty(self, plan, run):
+        got = [run.next_unit() for _ in plan]
+        assert [u.unit_id for u in got] == plan.unit_ids()
+        assert run.ready == []
+        assert run.next_unit() is None
+
+    def test_failed_unit_waits_out_its_backoff(self, plan, run):
+        unit = run.next_unit()
+        lease = Lease(unit, run.lease(unit), None, None, 0.0)
+        assert run.fail(lease, "error", "boom") == 30.0
+        now = time.monotonic()
+        # The rest of the study goes first; the retry is not eligible
+        # until its delay has passed.
+        assert run.next_unit(now) is plan.units[1]
+        assert run.next_unit(now) is None
+        assert run.next_unit(now + 30.0) is unit
+        assert run.next_unit(now + 30.0) is None
 
 
 class TestLeaseOrder:

@@ -21,8 +21,7 @@ from repro.sched import DONE, CampaignPlan, StudySpec
 from repro.sched.plan import WorkUnit
 from repro.sched.scheduler import EVENTS_NAME
 from repro.svc import (CampaignService, ServiceServer, StaleFence,
-                       TenantPolicy, UnknownWorker, collect_garbage,
-                       load_service)
+                       UnknownWorker, collect_garbage, load_service)
 from repro.svc.attest import RejectedComplete
 from repro.svc.chaos import NULL_CHAOS, ChaosDrop, TransportChaos
 from repro.svc.fleet import pack_blob, pack_text, unpack_text
@@ -369,27 +368,26 @@ class TestGarbageCollection:
     def test_dry_run_then_purge_then_resweep(self, tmp_path):
         sid = self._finished_study(tmp_path)
         study_dir = tmp_path / "studies" / sid
-        keep = TenantPolicy(retention_s=3600.0)
-        toss = TenantPolicy(retention_s=0.0)
 
-        # Inside retention: nothing to do.
-        out = collect_garbage(tmp_path, default_policy=keep)
-        assert out["candidates"] == [] and out["purged"] == []
+        # No retention, or inside it: nothing to do.
+        for keep in (None, 3600.0):
+            out = collect_garbage(tmp_path, retention_s=keep)
+            assert out["candidates"] == [] and out["purged"] == []
 
         # Dry run names the victim but touches nothing.
-        out = collect_garbage(tmp_path, default_policy=toss, dry_run=True)
+        out = collect_garbage(tmp_path, retention_s=0.0, dry_run=True)
         assert [c["id"] for c in out["candidates"]] == [sid]
         assert out["dry_run"] and study_dir.exists()
 
         # The real sweep journals first, then deletes.
-        out = collect_garbage(tmp_path, default_policy=toss)
+        out = collect_garbage(tmp_path, retention_s=0.0)
         assert [c["id"] for c in out["purged"]] == [sid]
         assert not study_dir.exists()
         state = load_service(tmp_path / "service.jsonl")
         assert state.studies[sid].purged
 
         # Idempotent: the journal remembers the purge.
-        out = collect_garbage(tmp_path, default_policy=toss)
+        out = collect_garbage(tmp_path, retention_s=0.0)
         assert out["purged"] == [] and out["candidates"] == []
 
         # A sweep that died between journal row and rmtree leaves a
@@ -401,7 +399,7 @@ class TestGarbageCollection:
             1 for line in (tmp_path / "service.jsonl")
             .read_text().splitlines()
             if json.loads(line).get("kind") == "gc")
-        out = collect_garbage(tmp_path, default_policy=toss)
+        out = collect_garbage(tmp_path, retention_s=0.0)
         assert out["resweeps"] == [sid] and not study_dir.exists()
         gc_rows_after = sum(
             1 for line in (tmp_path / "service.jsonl")
@@ -409,21 +407,9 @@ class TestGarbageCollection:
             if json.loads(line).get("kind") == "gc")
         assert gc_rows_after == gc_rows_before == 1
 
-    def test_retention_is_per_tenant(self, tmp_path):
-        sid = self._finished_study(tmp_path)   # tenant "alice"
-        out = collect_garbage(tmp_path,
-                              policies={"bob": TenantPolicy(
-                                  retention_s=0.0)})
-        assert out["candidates"] == [] and out["purged"] == []
-        assert (tmp_path / "studies" / sid).exists()
-        out = collect_garbage(tmp_path,
-                              policies={"alice": TenantPolicy(
-                                  retention_s=0.0)})
-        assert [c["id"] for c in out["purged"]] == [sid]
-
-    def test_negative_retention_rejected(self):
+    def test_negative_retention_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="retention_s"):
-            TenantPolicy(retention_s=-1.0)
+            collect_garbage(tmp_path, retention_s=-1.0)
 
 
 TOKEN = "shh-fleet-secret"

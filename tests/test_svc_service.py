@@ -1,4 +1,4 @@
-"""The campaign service: admission, fairness, durability, HTTP.
+"""The campaign service: admission, dispatch order, durability, HTTP.
 
 Like the scheduler tests these run real (tiny) studies through worker
 processes — the service-level guarantees under test (kill-and-restart
@@ -18,10 +18,11 @@ import urllib.request
 import pytest
 
 from repro.core.campaign import run_campaign
-from repro.sched import DONE, CampaignPlan, StudySpec, load_journal
+from repro.sched import (DONE, LEASED, CampaignPlan, Journal, StudySpec,
+                         load_journal)
 from repro.svc import (CANCELLED, STUDY_DONE, CampaignService,
-                       QuotaExceeded, ServiceJournal, ServiceServer,
-                       TenantPolicy, load_service, study_id_for)
+                       ServiceJournal, ServiceServer, fsck_service,
+                       load_service, study_id_for)
 from repro.svc.api import MAX_BODY
 
 SETUP = "MaFIN-x86"
@@ -205,36 +206,6 @@ class TestServiceLifecycle:
                 svc.cancel("s9999-nobody")
 
 
-class TestQuota:
-    def test_tenant_at_quota_rejected_while_other_proceeds(self, tmp_path):
-        policies = {"capped": TenantPolicy(max_queued=1)}
-        with CampaignService(tmp_path, workers=2, fsync=False,
-                             policies=policies) as svc:
-            # Two units > max_queued=1: refused atomically.
-            with pytest.raises(QuotaExceeded) as err:
-                svc.submit(spec(structures=("int_rf", "l1d")),
-                           tenant="capped")
-            assert err.value.reason == "queued"
-            assert svc.studies() == []           # nothing half-admitted
-            sid = svc.submit(spec(), tenant="free")
-            svc.run_until_idle(timeout_s=120)
-            assert svc.study_status(sid)["state"] == STUDY_DONE
-            assert svc.metrics.counter_value("svc.quota_rejections") == 1
-        events = (tmp_path / "service-events.jsonl").read_text()
-        rejected = [json.loads(line) for line in events.splitlines()
-                    if '"quota_rejected"' in line]
-        assert rejected and rejected[0]["reason"] == "queued"
-
-    def test_rate_limit_names_the_knob(self, tmp_path):
-        policies = {"t": TenantPolicy(rate=0.001, burst=1)}
-        with CampaignService(tmp_path, workers=1, fsync=False,
-                             policies=policies) as svc:
-            svc.submit(spec(), tenant="t", now=0.0)
-            with pytest.raises(QuotaExceeded) as err:
-                svc.submit(spec(seed=8), tenant="t", now=0.1)
-            assert err.value.reason == "rate"
-
-
 class TestKillRestart:
     """Satellite check: kill-and-restart losslessness."""
 
@@ -280,6 +251,61 @@ class TestKillRestart:
         assert journal.read_text().count("\n") == lines_before
 
 
+class TestOldRoot:
+    """A root written before tenants became a bare label still loads."""
+
+    def test_tenant_rows_resume_to_done(self, tmp_path, capsys):
+        from repro import tools
+        sp = spec()
+        plan = CampaignPlan.from_spec(sp)
+        done_id = study_id_for(1, "0123456789")
+        live_id = study_id_for(2, sp.spec_hash)
+        # The ledger as the multi-tenant service wrote it: tenant
+        # labels on every study row, an epoch row, a gc row for a
+        # finished study, and a quota rejection among the events.
+        rows = [
+            {"kind": "epoch", "epoch": 1, "ts": 1.0},
+            {"kind": "study", "id": done_id, "tenant": "alice",
+             "spec": sp.to_dict(), "spec_hash": "0123456789",
+             "units": plan.unit_ids(), "ts": 2.0},
+            {"kind": "state", "id": done_id, "state": "done", "ts": 3.0},
+            {"kind": "gc", "id": done_id, "tenant": "alice", "age_s": 9.0,
+             "ts": 4.0},
+            {"kind": "study", "id": live_id, "tenant": "bob",
+             "spec": sp.to_dict(), "spec_hash": sp.spec_hash,
+             "units": plan.unit_ids(), "ts": 5.0},
+            {"kind": "state", "id": live_id, "state": "running", "ts": 6.0},
+        ]
+        (tmp_path / "service.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows))
+        (tmp_path / "service-events.jsonl").write_text("".join(
+            json.dumps(ev) + "\n" for ev in (
+                {"name": "study_submitted", "ts": 2.0, "study": done_id,
+                 "tenant": "alice", "units": 1, "spec_hash": "0123456789"},
+                {"name": "quota_rejected", "ts": 2.5, "tenant": "carol",
+                 "reason": "queued", "units": 1},
+                {"name": "study_submitted", "ts": 5.0, "study": live_id,
+                 "tenant": "bob", "units": 1, "spec_hash": sp.spec_hash})))
+        # The live study's unit was leased when the old service died.
+        journal_path = tmp_path / "studies" / live_id / "journal.jsonl"
+        with Journal(journal_path, fsync=False) as journal:
+            journal.write_header(sp.to_dict(), plan.unit_ids())
+            journal.record(plan.unit_ids()[0], LEASED, attempt=1)
+
+        with CampaignService(tmp_path, workers=1, fsync=False) as svc:
+            assert svc.state.epoch == 2
+            assert [r["tenant"] for r in svc.studies()] == ["alice", "bob"]
+            svc.run_until_idle(timeout_s=120)
+            row = svc.study_status(live_id)
+            assert row["state"] == STUDY_DONE
+            assert row["totals"] == direct_counts(sp)
+        assert load_journal(journal_path).attempts[plan.unit_ids()[0]] == 2
+        assert fsck_service(tmp_path) == []
+        assert tools.main(["obs", "summarize",
+                           str(tmp_path / "service-events.jsonl")]) == 0
+        assert "tenant bob" in capsys.readouterr().out
+
+
 class TestCancel:
     def test_cancel_drops_queued_and_survives_restart(self, tmp_path):
         sp = spec(structures=("int_rf", "l1d"))
@@ -313,37 +339,71 @@ class TestGoldenCache:
 
 
 class TestFairDispatch:
-    def test_service_interleaves_tenants_by_weight(self, tmp_path,
-                                                   monkeypatch):
+    def test_service_round_robins_studies(self, tmp_path, monkeypatch):
         # Chaos-fail every unit on attempt 1 with max_retries=0: no
         # simulation runs, units quarantine instantly, and the launch
-        # order is purely the fair queue's DRR decision.
+        # order is purely the service's dispatch decision.  Both
+        # studies carry the same tenant label: they alternate anyway.
         sp = spec(structures=("int_rf", "l1d", "l1i", "dtlb"))
         chaos = ";".join(f"{u.unit_id}=fail:99"
                          for u in CampaignPlan.from_spec(sp))
         monkeypatch.setenv("REPRO_SCHED_CHAOS", chaos)
-        policies = {"a": TenantPolicy(weight=1.0),
-                    "b": TenantPolicy(weight=3.0)}
         with CampaignService(tmp_path, workers=1, fsync=False,
-                             policies=policies, max_retries=0) as svc:
+                             max_retries=0) as svc:
             order = []
             launch = svc.fleet.launch
             monkeypatch.setattr(
                 svc.fleet, "launch",
-                lambda run, unit: (order.append(run.tenant),
+                lambda run, unit: (order.append(run.study_id),
                                    launch(run, unit))[1])
-            svc.submit(sp, tenant="a")
-            svc.submit(sp, tenant="b")
+            sid_a = svc.submit(sp, tenant="alice")
+            sid_b = svc.submit(sp, tenant="alice")
             svc.run_until_idle(timeout_s=120)
-            assert len(order) == 8
-            # While both tenants had queued work (the first four
-            # launches), weight 3 bought b three of every four slots —
-            # and a was never shut out.
-            first = order[:4]
-            assert first.count("b") == 3 and first.count("a") == 1
-            for sid in list(svc.state.studies):
+            assert order == [sid_a, sid_b] * 4
+            for sid in (sid_a, sid_b):
                 tally = svc.study_status(sid)["tally"]
                 assert tally["quarantined"] == 4   # chaos, as planned
+
+    def test_unit_in_backoff_waits_while_others_proceed(self, tmp_path,
+                                                        monkeypatch):
+        # Every unit fails twice and quarantines (max_retries=1): each
+        # failure puts the unit at the back of its study's ready list,
+        # ineligible for backoff_s seconds.
+        backoff_s = 1.0
+        sp = spec(structures=("int_rf", "l1d"))
+        plan = CampaignPlan.from_spec(sp)
+        monkeypatch.setenv("REPRO_SCHED_CHAOS",
+                           ";".join(f"{u.unit_id}=fail:99" for u in plan))
+        with CampaignService(tmp_path, workers=1, fsync=False,
+                             max_retries=1, backoff_s=backoff_s) as svc:
+            sid_a = svc.submit(sp, tenant="alice")
+            sid_b = svc.submit(spec(structures=("int_rf", "l1d"), seed=8),
+                               tenant="alice")
+            svc.run_until_idle(timeout_s=120)
+            rows = []
+            for sid in (sid_a, sid_b):
+                for line in (svc.study_dir(sid) / "journal.jsonl") \
+                        .read_text().splitlines():
+                    row = json.loads(line)
+                    if row.get("kind") == "unit":
+                        rows.append((row["ts"], sid, row))
+        rows.sort(key=lambda r: r[0])
+        leases = [(sid, row["unit"], row["attempt"])
+                  for _, sid, row in rows if row["state"] == LEASED]
+        first, second = plan.unit_ids()
+        # First attempts alternate between the studies and go in plan
+        # order within each; no retry jumps ahead of a waiting unit.
+        assert leases[:4] == [(sid_a, first, 1), (sid_b, first, 1),
+                              (sid_a, second, 1), (sid_b, second, 1)]
+        assert sorted(leases[4:]) == sorted(
+            (sid, uid, 2) for sid in (sid_a, sid_b) for uid in (first,
+                                                                 second))
+        # No retry was leased before its backoff ran out.
+        failed = {(sid, row["unit"]): ts for ts, sid, row in rows
+                  if row["state"] == "failed" and row["attempt"] == 1}
+        for ts, sid, row in rows:
+            if row["state"] == LEASED and row["attempt"] == 2:
+                assert ts - failed[(sid, row["unit"])] >= backoff_s
 
     def test_first_leases_are_distinct_pairs(self, tmp_path, monkeypatch):
         # One tenant, 3 pairs x 2 structures, 2 local slots: the fair
@@ -388,9 +448,7 @@ def _post(url, payload=None, headers=None, timeout=30.0):
 def served(tmp_path_factory):
     """One live service over HTTP, shared by the endpoint tests."""
     root = tmp_path_factory.mktemp("svc")
-    service = CampaignService(
-        root, workers=2, fsync=False,
-        policies={"capped": TenantPolicy(max_queued=0)})
+    service = CampaignService(root, workers=2, fsync=False)
     server = ServiceServer(service, port=0)
     ready = threading.Event()
     thread = threading.Thread(
@@ -417,8 +475,8 @@ class TestHttpApi:
 
     def test_submit_track_stream_report(self, served):
         base, _ = served
-        code, out = _post(f"{base}/studies", spec_dict(),
-                          headers={"X-Tenant": "alice"})
+        code, out = _post(f"{base}/studies",
+                          {"tenant": "alice", "spec": spec_dict()})
         assert code == 202
         sid = out["id"]
         assert out["tenant"] == "alice"
@@ -452,7 +510,7 @@ class TestHttpApi:
         _, body = _get(f"{base}/status")
         status = json.loads(body)
         assert status["studies"]["done"] >= 1
-        assert {"queue", "fleet", "golden_cache"} <= status.keys()
+        assert {"queued", "fleet", "golden_cache"} <= status.keys()
 
     def test_cancel_over_http(self, served):
         base, _ = served
@@ -482,13 +540,6 @@ class TestHttpApi:
         code, out = _post(f"{base}/studies",
                           {"tenant": "", "spec": spec_dict()})
         assert code == 400 and "tenant" in out["error"]
-
-    def test_quota_is_429_naming_the_knob(self, served):
-        base, _ = served
-        code, out = _post(f"{base}/studies", spec_dict(),
-                          headers={"X-Tenant": "capped"})
-        assert code == 429
-        assert out["reason"] == "queued" and out["tenant"] == "capped"
 
     def test_unknown_study_is_404(self, served):
         base, _ = served

@@ -270,3 +270,46 @@ class TestSchedCommands:
         with pytest.raises(SystemExit):
             tools.main(["sched", "run", "--out", str(tmp_path / "s"),
                         "--shard", "zero-of-two", *self.ARGS])
+
+
+class TestSvcGcCommand:
+    """``svc gc`` over a service root with one finished study."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        from repro.svc import ServiceJournal
+        with ServiceJournal(tmp_path / "service.jsonl",
+                            fsync=False) as journal:
+            journal.record_submit("s0001-abcdef", "alice", {}, "abcdef",
+                                  ["u1"])
+            journal.record_state("s0001-abcdef", "done")
+        (tmp_path / "studies" / "s0001-abcdef").mkdir(parents=True)
+        return tmp_path
+
+    def gc_rows(self, root):
+        return [row for row in map(json.loads, (root / "service.jsonl")
+                                   .read_text().splitlines())
+                if row["kind"] == "gc"]
+
+    def test_dry_run_names_the_study(self, root, capsys):
+        rc = tools.main(["svc", "gc", "--root", str(root),
+                         "--retention-s", "0", "--dry-run"])
+        assert rc == 0
+        assert "would purge s0001-abcdef" in capsys.readouterr().out
+        assert (root / "studies" / "s0001-abcdef").exists()
+        assert self.gc_rows(root) == []
+
+    def test_purge_journals_a_gc_row(self, root, capsys):
+        rc = tools.main(["svc", "gc", "--root", str(root),
+                         "--retention-s", "0"])
+        assert rc == 0
+        assert "purged s0001-abcdef" in capsys.readouterr().out
+        assert not (root / "studies" / "s0001-abcdef").exists()
+        assert [row["id"] for row in self.gc_rows(root)] == ["s0001-abcdef"]
+
+    def test_negative_retention_exits_2(self, root, capsys):
+        rc = tools.main(["svc", "gc", "--root", str(root),
+                         "--retention-s", "-1"])
+        assert rc == 2
+        assert "-1" in capsys.readouterr().err
+        assert (root / "studies" / "s0001-abcdef").exists()
