@@ -70,8 +70,10 @@ def build_golden_payload(dispatcher: InjectorDispatcher,
     run recorded one) rides along as its :meth:`AccessTrace.to_bytes`
     form, so a scheduler unit that adopts the blob can prune without
     re-recording.  Pool workers here never need it — pruning happens in
-    the parent, workers only simulate.
+    the parent, workers only simulate.  Emits ``golden_packed`` with
+    the wall time and the blob's size.
     """
+    t0 = time.perf_counter()
     store = dispatcher.checkpoints
     payload = {
         "golden": dispatcher.golden.to_dict(),
@@ -83,8 +85,11 @@ def build_golden_payload(dispatcher: InjectorDispatcher,
     trace = getattr(dispatcher, "access_trace", None)
     if include_trace and trace is not None:
         payload["trace"] = trace.to_bytes()
-    return zlib.compress(
+    blob = zlib.compress(
         pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 1)
+    dispatcher.tracer.emit("golden_packed",
+                           wall_s=time.perf_counter() - t0, bytes=len(blob))
+    return blob
 
 
 def adopt_golden_payload(dispatcher: InjectorDispatcher,

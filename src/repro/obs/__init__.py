@@ -24,9 +24,9 @@ layer watches a *running* study directory: :mod:`repro.obs.live` tails
 journal/event/log streams into a rolling :class:`StudyView` with
 Wilson-interval convergence tracking (:mod:`repro.obs.convergence`),
 :mod:`repro.obs.server` serves it over HTTP (``obs serve``, on the
-:mod:`repro.obs.http` server that ``svc serve`` also runs on), and
-:mod:`repro.obs.report` renders it as a self-contained HTML report
-(``obs report``).
+:mod:`repro.obs.http` server that ``svc serve`` also runs on; neither
+is imported here), and :mod:`repro.obs.report` renders it as a
+self-contained HTML report (``obs report``).
 
 Telemetry never alters campaign behaviour: the instrumented code paths
 are bit-identical with any sink attached (tested).
@@ -40,7 +40,6 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, METRIC_NAMES,
                                MetricsRegistry, fold_event)
 from repro.obs.profile import CampaignTelemetry
 from repro.obs.report import render_html, report_study
-from repro.obs.server import StatusServer, serve_study
 from repro.obs.summarize import (SummaryAccumulator,
                                  load_events as load_event_dicts,
                                  render_report, summarize_events,
@@ -59,5 +58,4 @@ __all__ = [
     "wilson_interval", "proportion_ci", "cell_convergence",
     "JSONLTailer", "StudyView", "UnitView", "load_study_view",
     "render_html", "report_study",
-    "StatusServer", "serve_study",
 ]

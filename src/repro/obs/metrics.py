@@ -47,6 +47,8 @@ METRIC_NAMES = {
     "time.golden_s": "histogram — golden run wall time",
     "time.golden_adopt_s": "histogram — adopting a shipped golden blob "
                            "(unpickle, trace bytes, checkpoint store)",
+    "time.golden_pack_s": "histogram — packing a golden run into a blob "
+                          "to ship (pickle, compress)",
     "time.maskgen_s": "histogram — mask generation wall time",
     "time.inject_s": "histogram — per-injection wall time",
     "time.classify_s": "histogram — classification wall time",
@@ -141,6 +143,8 @@ def fold_event(m: MetricsRegistry, name, ev: dict) -> None:
         m.counter("checkpoint.bytes").inc(_count(ev.get("checkpoint_bytes")))
     elif name == "golden_adopted":
         m.histogram("time.golden_adopt_s").observe(_seconds(ev.get("wall_s")))
+    elif name == "golden_packed":
+        m.histogram("time.golden_pack_s").observe(_seconds(ev.get("wall_s")))
     elif name == "maskgen_end":
         m.histogram("time.maskgen_s").observe(_seconds(ev.get("wall_s")))
         m.counter("masks_generated").inc(_count(ev.get("masks")))

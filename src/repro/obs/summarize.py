@@ -194,6 +194,8 @@ class SummaryAccumulator:
             "golden": {"wall_s": t.golden_s, "cycles": t.golden_cycles,
                        "checkpoints": t.golden_checkpoints,
                        "runs": m.histogram("time.golden_s").count,
+                       "packed": m.histogram("time.golden_pack_s").count,
+                       "pack_s": m.histogram("time.golden_pack_s").total,
                        "adopted": m.histogram("time.golden_adopt_s").count,
                        "adopt_s": m.histogram("time.golden_adopt_s").total,
                        "snapshot_s": t.snapshot_s,
@@ -296,9 +298,11 @@ def render_report(summary: dict) -> str:
         f"snapshots  take {cp['snapshot_s']:.3f}s, "
         f"restore {cp['restore_s']:.3f}s, {cp['bytes']:,} bytes stored")
     g = summary["golden"]
+    packed = (f", {g['packed']} blob(s) packed in {g['pack_s']:.3f}s"
+              if g.get("packed") else "")
     lines.append(f"golden     {g['runs']} run(s) for {g['pairs']} "
                  f"(setup, benchmark) pair(s), {g['cycles']} cycles, "
-                 f"{g['checkpoints']} checkpoints")
+                 f"{g['checkpoints']} checkpoints{packed}")
     if g.get("adopted"):
         lines.append(f"           {g['adopted']} shipped blob(s) adopted "
                      f"in {g['adopt_s']:.3f}s")

@@ -1,7 +1,7 @@
 """Worker-process lease pool — the mechanics under every unit lease.
 
 One :class:`LeasePool` owns a fixed number of worker slots and the
-process lifecycle of every lease running in them: spawn a
+process lifecycle of every lease running in them: start a
 :func:`~repro.sched.worker.unit_entry` process with its payload, poll
 the result pipe, detect worker death, and enforce the per-lease
 wall-clock deadline.  It makes no policy decisions — journaling,
@@ -72,6 +72,8 @@ class LeasePool:
                want_blob: bool = False, deadline_s: float | None = None,
                meta=None) -> Lease:
         """Start one unit worker; the lease joins :attr:`running`."""
+        # A forked worker inherits the unit path instead of importing it.
+        import repro.bench.suite  # noqa: F401
         recv, send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=unit_entry,

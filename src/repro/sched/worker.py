@@ -94,7 +94,7 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
     config = setup_config(unit.setup, scaled=spec.scaled)
     program = suite.program(unit.benchmark, config.isa, spec.scale)
     # The guard's SIGALRM watchdog arms here for real: run_unit executes
-    # on the main thread of a dedicated spawned process, so a hang
+    # on the main thread of a dedicated forked process, so a hang
     # inside one sim.step() raises WatchdogTimeout and records a
     # Timeout instead of burning the unit's whole lease.
     campaign = InjectionCampaign(config, program, unit.benchmark,
@@ -119,6 +119,13 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
     counts = classify_all(records, result.golden)
     fresh = [r for r in records if r.set_id not in resumed]
     early_stops = sum(1 for r in records if r.early_stop is not None)
+    wall_s = time.perf_counter() - t0
+    # The blob carries the access trace when pruning, so later units of
+    # the same (setup, benchmark) pair skip re-recording too.  Built
+    # before the events are listed: it emits golden_packed.
+    blob = (build_golden_payload(campaign.dispatcher,
+                                 include_trace=spec.prune != PRUNE_OFF)
+            if want_blob and ran_golden else None)
     return {
         "ok": True,
         "unit": unit.unit_id,
@@ -129,14 +136,9 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
         "early_stops": early_stops,
         "pruned": sum(1 for r in fresh if r.pruned is not None),
         "prune": result.prune,
-        "wall_s": time.perf_counter() - t0,
+        "wall_s": wall_s,
         "events": list(sink.rows),
-        # The blob carries the access trace when pruning, so later units
-        # of the same (setup, benchmark) pair skip re-recording too.
-        "golden_blob": (build_golden_payload(
-                            campaign.dispatcher,
-                            include_trace=spec.prune != PRUNE_OFF)
-                        if want_blob and ran_golden else None),
+        "golden_blob": blob,
     }
 
 

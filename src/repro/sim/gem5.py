@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.sim.base import OoOCore
 from repro.sim.config import SimConfig, paper_config, scaled_config
+from repro.sim.marss import MarssSim
 
 
 class Gem5Sim(OoOCore):
@@ -45,7 +46,6 @@ class Gem5Sim(OoOCore):
 
 def build_sim(program, config: SimConfig):
     """Instantiate the right simulator personality for *config*."""
-    from repro.sim.marss import MarssSim
     if config.name == "marss":
         return MarssSim(program, config)
     return Gem5Sim(program, config)

@@ -3,7 +3,7 @@
 The paper's study model is one operator, one study, one scheduler.
 This package turns that into a long-lived service: an HTTP front end
 (:mod:`repro.svc.api`, a route table on the :mod:`repro.obs.http`
-server that ``obs serve`` also runs on) accepts strictly-validated
+server, loaded by ``svc serve`` alone) accepts strictly-validated
 :class:`~repro.sched.plan.StudySpec` submissions, the service
 (:mod:`repro.svc.service`) takes units round-robin across the live
 studies, each in plan order from its own
@@ -38,7 +38,6 @@ serve | submit | list | cancel | worker | fleet | gc`` and
 ``python -m repro.tools fsck`` (see docs/service.md).
 """
 
-from repro.svc.api import ServiceServer
 from repro.svc.attest import (Attestor, ChallengePending, RejectedComplete,
                               WorkerDistrusted, WorkerScorecard)
 from repro.svc.chaos import NULL_CHAOS, TransportChaos
@@ -52,8 +51,7 @@ from repro.svc.state import (ACCEPTED, CANCELLED, RUNNING, STUDY_DONE,
                              load_service, study_id_for)
 
 __all__ = [
-    "CampaignService", "ServiceServer",
-    "WorkerFleet", "ServiceRun",
+    "CampaignService", "WorkerFleet", "ServiceRun",
     "RemoteWorker", "RemoteLease", "StaleFence", "UnknownWorker",
     "WorkerAgent", "TransportChaos", "NULL_CHAOS", "collect_garbage",
     "ServiceJournal", "ServiceState", "StudyRecord", "load_service",

@@ -503,7 +503,8 @@ def _svc_token(args) -> str | None:
 def _cmd_svc_serve(args) -> int:
     import signal
 
-    from repro.svc import CampaignService, ServiceServer
+    from repro.svc import CampaignService
+    from repro.svc.api import ServiceServer
     try:
         service = CampaignService(
             args.root, workers=args.workers,

@@ -280,6 +280,21 @@ class TestSummarize:
         assert "2 shipped blob(s) adopted in 0.250s" in report
         assert "adopted" not in render_report(summarize_events(events[:1]))
 
+    def test_report_shows_packed_blobs(self):
+        # Two units ran their pair's golden and packed it to ship.
+        events = [{"name": "golden_end", "ts": 1.0, "cycles": 100,
+                   "wall_s": 0.5, "checkpoints": 2},
+                  {"name": "golden_packed", "ts": 1.5, "wall_s": 0.0625,
+                   "bytes": 1000}] * 2
+        summary = summarize_events(events)
+        assert (summary["golden"]["runs"], summary["golden"]["packed"],
+                summary["golden"]["pack_s"]) == (2, 2, 0.125)
+        report = render_report(summary)
+        assert ("golden     2 run(s) for 0 (setup, benchmark) pair(s), "
+                "100 cycles, 2 checkpoints, 2 blob(s) packed in 0.125s"
+                ) in report
+        assert "packed" not in render_report(summarize_events(events[:1]))
+
     def test_load_events_rejects_mid_file_garbage(self, tmp_path):
         # Corruption with complete lines after it is real corruption...
         bad = tmp_path / "bad.jsonl"

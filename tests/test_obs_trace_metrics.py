@@ -250,6 +250,14 @@ class TestFold:
         assert (hist.count, hist.total) == (1, 0.25)
         assert reg.histogram("time.golden_s").count == 0
 
+    def test_golden_packed_folds_into_pack_time(self):
+        reg = MetricsRegistry()
+        fold_event(reg, "golden_packed", {"wall_s": 0.125, "bytes": 1000})
+        hist = reg.histogram("time.golden_pack_s")
+        assert (hist.count, hist.total) == (1, 0.125)
+        assert reg.histogram("time.golden_adopt_s").count == 0
+        assert reg.histogram("time.golden_s").count == 0
+
     def test_metrics_sink_folds_what_it_is_written(self):
         reg = MetricsRegistry()
         tracer = Tracer(TeeSink(NullSink(), MetricsSink(reg)))
@@ -259,7 +267,8 @@ class TestFold:
         assert reg.histogram("time.maskgen_s").total == 0.25
 
     @settings(max_examples=300, deadline=None)
-    @given(name=st.sampled_from(["golden_end", "maskgen_end", "inject_end",
+    @given(name=st.sampled_from(["golden_end", "golden_packed",
+                                 "maskgen_end", "inject_end",
                                  "pruned", "classify",
                                  "guard.contamination", "unit_done"]),
            fields=st.dictionaries(

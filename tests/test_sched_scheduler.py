@@ -20,7 +20,7 @@ from repro.sched import (DONE, QUARANTINED, CampaignPlan, Journal,
                          Scheduler, StudySpec, WorkUnit, load_journal,
                          merge_studies, run_study, run_unit, study_status)
 from repro.obs.metrics import MetricsRegistry
-from repro.sched.pool import Lease, LeasePool
+from repro.sched.pool import CRASHED, RESULT, Lease, LeasePool
 from repro.sched.study import StudyRun
 from repro.sched.worker import _lock_logs, unit_entry
 from repro.svc import fsck_study
@@ -163,6 +163,63 @@ class TestOneWriterPerUnit:
             for pid in (sched.pid, worker):
                 if pid is not None and not _exited(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+#: Larger than a pipe buffer, so the worker is still writing its result
+#: while the parent reads it.
+BIG = bytes(range(256)) * 4096
+
+
+def _send_small(conn, payload):
+    conn.send({"ok": True, "unit": payload["unit"]["benchmark"]})
+    conn.close()
+
+
+def _send_big(conn, payload):
+    conn.send({"ok": True, "blob": BIG})
+    conn.close()
+
+
+def _send_nothing(conn, payload):
+    conn.close()
+
+
+class TestPoolCompletionOrder:
+    """``LeasePool.poll`` reads a worker's result before it asks whether
+    the worker still lives: a worker that sent its result and exited is
+    a RESULT, never a CRASHED."""
+
+    def launch(self, tmp_path, monkeypatch, target):
+        # A forked worker runs the patched target.
+        monkeypatch.setattr("repro.sched.pool.unit_entry", target)
+        pool = LeasePool(1)
+        lease = pool.launch(WorkUnit.from_id(TestOneWriterPerUnit.UID),
+                            spec(), logs_path=tmp_path / "logs.jsonl",
+                            masks_path=None)
+        return pool, lease
+
+    def test_result_of_an_exited_worker(self, tmp_path, monkeypatch):
+        pool, lease = self.launch(tmp_path, monkeypatch, _send_small)
+        lease.proc.join(30)
+        assert not lease.proc.is_alive()
+        assert pool.poll() == [(lease, RESULT, {"ok": True, "unit": "sha"})]
+        assert pool.running == []
+
+    def test_result_larger_than_a_pipe_buffer(self, tmp_path, monkeypatch):
+        pool, lease = self.launch(tmp_path, monkeypatch, _send_big)
+        finished, deadline = [], time.monotonic() + 60
+        while not finished and time.monotonic() < deadline:
+            finished = pool.poll()
+        [(got, kind, payload)] = finished
+        assert got is lease and kind == RESULT
+        assert payload["blob"] == BIG
+
+    def test_exit_without_a_result_is_a_crash(self, tmp_path, monkeypatch):
+        pool, lease = self.launch(tmp_path, monkeypatch, _send_nothing)
+        lease.proc.join(30)
+        assert not lease.proc.is_alive()
+        assert pool.poll() == [(lease, CRASHED,
+                                "worker exited with code 0")]
 
 
 class TestScheduler:

@@ -20,8 +20,9 @@ import pytest
 from repro.sched import DONE, CampaignPlan, StudySpec
 from repro.sched.plan import WorkUnit
 from repro.sched.scheduler import EVENTS_NAME
-from repro.svc import (CampaignService, ServiceServer, StaleFence,
-                       UnknownWorker, collect_garbage, load_service)
+from repro.svc import (CampaignService, StaleFence, UnknownWorker,
+                       collect_garbage, load_service)
+from repro.svc.api import ServiceServer
 from repro.svc.attest import RejectedComplete
 from repro.svc.chaos import NULL_CHAOS, ChaosDrop, TransportChaos
 from repro.svc.fleet import pack_blob, pack_text, unpack_text

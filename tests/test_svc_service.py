@@ -21,9 +21,9 @@ from repro.core.campaign import run_campaign
 from repro.sched import (DONE, LEASED, CampaignPlan, Journal, StudySpec,
                          load_journal)
 from repro.svc import (CANCELLED, STUDY_DONE, CampaignService,
-                       ServiceJournal, ServiceServer, fsck_service,
-                       load_service, study_id_for)
-from repro.svc.api import MAX_BODY
+                       ServiceJournal, fsck_service, load_service,
+                       study_id_for)
+from repro.svc.api import MAX_BODY, ServiceServer
 
 SETUP = "MaFIN-x86"
 
