@@ -9,14 +9,20 @@ Scale knobs (environment variables):
     Comma-separated benchmark subset (default ``sha,qsort,search``;
     ``all`` = the full MiBench-like ten, slow on one core).
 ``REPRO_BENCH_SEED``
-    Campaign seed (default 1).
+    Study seed (default 1); each cell derives its mask seed from it.
+
+Each figure runs as one fresh pruned study (``figure_spec`` +
+``run_study``) in a temporary directory, exactly as ``repro.tools
+figures`` runs it.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 
-from repro.core.report import run_figure
+from repro.core.report import figure_spec, study_figures
+from repro.sched import run_study
 
 # Paper shape expectations from §IV.C, used for soft qualitative checks
 # (they hold at full scale; at bench scale we only print them alongside).
@@ -47,9 +53,12 @@ def bench_seed() -> int:
 
 
 def run_and_render(structure: str, results_dir, fig_name: str):
-    """Run one figure's campaigns; write and return the rendering."""
-    fig = run_figure(structure, benchmarks=bench_benchmarks(),
-                     injections=bench_injections(), seed=bench_seed())
+    """Run one figure's study; write and return the rendering."""
+    spec = figure_spec([structure], bench_benchmarks(),
+                       injections=bench_injections(), seed=bench_seed())
+    with tempfile.TemporaryDirectory() as study_dir:
+        result = run_study(spec, study_dir)
+    (fig,) = study_figures(spec, result.classifications())
     text = fig.render()
     paper = PAPER_AVG_VULN.get(structure)
     if paper is not None:

@@ -117,7 +117,7 @@ def measure(setup: str, benchmark: str) -> dict:
     in_memory = sum(sys.getsizeof(words)
                     for st in trace.structures.values()
                     for words in st.events.values())
-    blob = build_golden_payload(dispatcher, include_trace=True)
+    blob = build_golden_payload(dispatcher)
     for _ in range(ROUNDS):
         fresh = InjectorDispatcher(config, program,
                                    n_checkpoints=spec.n_checkpoints)

@@ -1,8 +1,8 @@
 """The paper's headline study in miniature: differential L1D injection.
 
 Runs the same L1D transient campaign on all three setups — MaFIN-x86,
-GeFIN-x86 and GeFIN-ARM — for a few benchmarks and prints the
-side-by-side classification, reproducing the *shape* of Fig. 3: MaFIN
+GeFIN-x86 and GeFIN-ARM — for a few benchmarks, as one study, and
+prints the side-by-side classification, reproducing the *shape* of Fig. 3: MaFIN
 reports a less vulnerable L1D than GeFIN (hypervisor masking + mirror
 caches + aggressive load issue), while the two GeFIN ISAs sit close
 together.
@@ -13,8 +13,9 @@ Usage::
 """
 
 import sys
+import tempfile
 
-from repro import run_figure
+from repro import figure_spec, run_study, study_figures
 
 
 def main() -> int:
@@ -25,13 +26,15 @@ def main() -> int:
     print(f"L1D differential study: {injections} injections per cell, "
           f"benchmarks: {', '.join(benches)}")
 
-    def progress(bench, setup, result):
-        print(f"  {bench:7s} {setup:10s} "
-              f"vuln={100 * result.vulnerability():5.1f}%  "
-              f"(early-stopped {result.early_stops}/{result.injections})")
+    def progress(unit_id, state, done, total):
+        print(f"  [{done}/{total}] {unit_id} {state}")
 
-    fig = run_figure("l1d", benchmarks=benches, injections=injections,
-                     seed=1, progress=progress)
+    # The figure's cells run as one study: one golden run per
+    # (setup, benchmark) pair, masks pruned by golden-trace analysis.
+    spec = figure_spec(["l1d"], benches, injections=injections)
+    with tempfile.TemporaryDirectory() as study_dir:
+        result = run_study(spec, study_dir, progress=progress)
+    (fig,) = study_figures(spec, result.classifications())
     print()
     print(fig.render())
 

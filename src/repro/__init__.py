@@ -31,8 +31,8 @@ from repro.core.outcome import (ASSERT, CLASSES, CRASH, DUE, MASKED, SDC,
                                 TIMEOUT, GoldenReference, InjectionRecord)
 from repro.core.parser import (DEFAULT_POLICY, ParserPolicy, classify,
                                classify_all, vulnerability)
-from repro.core.report import (SETUPS, FigureResult, golden_stats,
-                               run_figure)
+from repro.core.report import (SETUPS, FigureResult, figure_spec,
+                               golden_stats, study_figures)
 from repro.core.sampling import (achieved_error_margin, fault_space,
                                  required_injections)
 from repro.guard import (GuardPolicy, IntegrityVerifier,
@@ -62,7 +62,8 @@ __all__ = [
     "vulnerability",
     "StudySpec", "CampaignPlan", "WorkUnit", "Scheduler", "StudyResult",
     "run_study", "study_status", "merge_studies",
-    "FigureResult", "run_figure", "golden_stats", "SETUPS",
+    "FigureResult", "figure_spec", "study_figures", "golden_stats",
+    "SETUPS",
     "required_injections", "achieved_error_margin", "fault_space",
     "GuardPolicy", "IntegrityVerifier", "InvariantViolation",
     "check_invariants", "state_digest",

@@ -48,4 +48,6 @@ def assembly(name: str, isa: str, scale: int = 1) -> str:
 @lru_cache(maxsize=None)
 def program(name: str, isa: str, scale: int = 1) -> Program:
     """Compiled program image for (benchmark, ISA), memoized."""
-    return compile_program(minic_source(name, scale), isa)
+    prog = compile_program(minic_source(name, scale), isa)
+    prog.name = name
+    return prog

@@ -81,6 +81,7 @@ class InjectorDispatcher:
         self.golden_outcome: RunOutcome | None = None
         self.checkpoints: CheckpointStore | None = None
         self.checkpoint_bytes = 0
+        self._golden_blob: bytes | None = None
         self._sim = None          # the one reusable machine
         self._pristine = None     # cycle-0 snapshot state of that machine
         self._restore_cycle = 0
@@ -94,6 +95,7 @@ class InjectorDispatcher:
         t0 = time.perf_counter()
         tracer = self.tracer
         tracer.emit("golden_start", label=self.config.label)
+        self._golden_blob = None
         sim = self._sim = build_sim(self.program, self.config)
         t_snap = time.perf_counter()
         self._pristine = sim.snapshot()
@@ -132,20 +134,22 @@ class InjectorDispatcher:
         self.checkpoint_bytes = state_nbytes(self._pristine, *store.states)
         wall_s = time.perf_counter() - t0
         snapshot_s = pristine_s + store.snapshot_s
-        if self._integrity is not None:
-            self._integrity.seal(self._pristine, store)
         tracer.emit("golden_end", cycles=outcome.cycles, wall_s=wall_s,
                     checkpoints=store.count, snapshot_s=snapshot_s,
                     checkpoint_bytes=self.checkpoint_bytes)
+        if self._integrity is not None:
+            self._integrity.seal(self.golden_blob())
         return self.golden
 
     def adopt_golden(self, golden: GoldenReference, pristine_state,
-                     checkpoints: CheckpointStore) -> None:
+                     checkpoints: CheckpointStore,
+                     blob: bytes | None = None) -> None:
         """Install a golden run performed elsewhere (parallel workers).
 
         The worker builds its machine once and serves injections straight
         from the parent's shipped checkpoints — no golden re-run, no
-        per-worker checkpoint collection.
+        per-worker checkpoint collection.  *blob*, the bytes they were
+        unpacked from, becomes this dispatcher's :meth:`golden_blob`.
         """
         self._sim = build_sim(self.program, self.config)
         self.golden = golden
@@ -153,8 +157,19 @@ class InjectorDispatcher:
         self.checkpoints = checkpoints
         self.checkpoint_bytes = state_nbytes(pristine_state,
                                              *checkpoints.states)
+        self._golden_blob = blob
         if self._integrity is not None:
-            self._integrity.seal(pristine_state, checkpoints)
+            self._integrity.seal(self.golden_blob())
+
+    def golden_blob(self) -> bytes:
+        """The golden run serialized once (``build_golden_payload``):
+        the blob a pool or a study ships and, with the guard on, the
+        integrity vault.  The first call builds it and must come before
+        the first restore, so no faulty run's leak reaches it."""
+        if self._golden_blob is None:
+            from repro.core.parallel import build_golden_payload
+            self._golden_blob = build_golden_payload(self)
+        return self._golden_blob
 
     def fault_sites(self):
         """The reusable machine's injectable structures (cached per sim)."""

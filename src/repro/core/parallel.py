@@ -56,22 +56,19 @@ class _ListSink:
         pass
 
 
-def build_golden_payload(dispatcher: InjectorDispatcher,
-                         include_trace: bool = False) -> bytes:
+def build_golden_payload(dispatcher: InjectorDispatcher) -> bytes:
     """Serialize a dispatcher's golden run as one compressed blob.
 
     The blob carries the golden reference, the pristine (cycle-0)
     snapshot and every checkpoint — everything another process needs to
     serve injections without re-running the golden execution.  Consumed
-    by :func:`adopt_golden_payload`; used by the pool initializer here
-    and by ``repro.sched``'s per-unit workers.
+    by :func:`adopt_golden_payload`; built once per dispatcher by
+    ``InjectorDispatcher.golden_blob``.
 
-    With *include_trace*, the pruner's access trace (when the golden
-    run recorded one) rides along as its :meth:`AccessTrace.to_bytes`
-    form, so a scheduler unit that adopts the blob can prune without
-    re-recording.  Pool workers here never need it — pruning happens in
-    the parent, workers only simulate.  Emits ``golden_packed`` with
-    the wall time and the blob's size.
+    The pruner's access trace, when the golden run recorded one, rides
+    along as its :meth:`AccessTrace.to_bytes` form, so a scheduler unit
+    that adopts the blob can prune without re-recording.  Emits
+    ``golden_packed`` with the wall time and the blob's size.
     """
     t0 = time.perf_counter()
     store = dispatcher.checkpoints
@@ -83,7 +80,7 @@ def build_golden_payload(dispatcher: InjectorDispatcher,
         "max_snaps": store.max_snaps,
     }
     trace = getattr(dispatcher, "access_trace", None)
-    if include_trace and trace is not None:
+    if trace is not None:
         payload["trace"] = trace.to_bytes()
     blob = zlib.compress(
         pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 1)
@@ -108,7 +105,8 @@ def adopt_golden_payload(dispatcher: InjectorDispatcher,
         payload["pristine"],
         CheckpointStore.from_snapshots(payload["snapshots"],
                                        interval=payload["interval"],
-                                       max_snaps=payload["max_snaps"]))
+                                       max_snaps=payload["max_snaps"]),
+        blob=blob)
     trace = payload.get("trace")
     trace_bytes = 0
     if isinstance(trace, bytes):
@@ -163,17 +161,17 @@ def pool_inject(dispatcher: InjectorDispatcher, sets: list[FaultSet],
     """Simulate *sets* on *workers* processes; yields the record of
     each set, in set order.
 
-    Every worker adopts *dispatcher*'s golden run and builds its own
-    dispatcher with the same checkpoint count, timeout and guard — so
-    each worker seals its own integrity vault over the shipped payload.
-    The workers' trace events are replayed into *dispatcher*'s tracer
-    as each row arrives.
+    Every worker adopts *dispatcher*'s :meth:`golden_blob
+    <repro.core.dispatcher.InjectorDispatcher.golden_blob>` and builds
+    its own dispatcher with the same checkpoint count, timeout and
+    guard — so each worker keeps the shipped bytes as its integrity
+    vault.  The workers' trace events are replayed into *dispatcher*'s
+    tracer as each row arrives.
     """
     tracer = dispatcher.tracer
     initargs = (dispatcher.config, dispatcher.program,
                 dispatcher.n_checkpoints, dispatcher.timeout_s,
-                dispatcher.guard, early_stop,
-                build_golden_payload(dispatcher))
+                dispatcher.guard, early_stop, dispatcher.golden_blob())
     ctx = mp.get_context("spawn" if mp.get_start_method(True) == "spawn"
                          else "fork")
     with ctx.Pool(processes=workers, initializer=_worker_init,

@@ -2,16 +2,17 @@
 
 Each of the paper's result figures is a stacked-bar chart — per
 benchmark, one bar per setup (MaFIN-x86 / GeFIN-x86 / GeFIN-ARM) showing
-the six fault-effect classes, plus the three average bars.  This module
-sweeps the cells, aggregates, and renders the same content as text.
+the six fault-effect classes, plus the three average bars.  Figures
+are a report over one study: :func:`figure_spec` is the study whose
+units are their cells, and :func:`study_figures` builds each figure
+from the units' classification counts.
 """
 
 from __future__ import annotations
 
-from repro.core.campaign import CampaignResult, default_injections, \
-    run_campaign
+from repro.core.campaign import default_injections
 from repro.core.outcome import CLASSES, MASKED
-from repro.core.parser import DEFAULT_POLICY
+from repro.core.parser import DEFAULT_POLICY, vulnerability
 
 SETUPS = ("MaFIN-x86", "GeFIN-x86", "GeFIN-ARM")
 SETUP_SHORT = {"MaFIN-x86": "M-x86", "GeFIN-x86": "G-x86",
@@ -22,28 +23,22 @@ _BAR_GLYPHS = {"Masked": ".", "SDC": "#", "DUE": "D", "Timeout": "T",
 
 
 class FigureResult:
-    """All cells of one per-structure figure (e.g. Fig. 3 = L1D)."""
+    """All cells of one per-structure figure (e.g. Fig. 3 = L1D): the
+    classification counts of each (benchmark, setup) cell."""
 
-    def __init__(self, structure: str, benchmarks, setups=SETUPS):
+    def __init__(self, structure: str, benchmarks, setups=SETUPS,
+                 cells=None):
         self.structure = structure
         self.benchmarks = tuple(benchmarks)
         self.setups = tuple(setups)
-        self.cells: dict[tuple[str, str], CampaignResult] = {}
+        self.cells: dict[tuple[str, str], dict] = dict(cells or {})
 
-    def add(self, result: CampaignResult) -> None:
-        self.cells[(result.benchmark, result.setup)] = result
-
-    def counts(self, benchmark: str, setup: str,
-               policy=DEFAULT_POLICY) -> dict:
-        return self.cells[(benchmark, setup)].classify(policy)
-
-    def percentages(self, benchmark: str, setup: str,
-                    policy=DEFAULT_POLICY) -> dict:
-        counts = self.counts(benchmark, setup, policy)
+    def percentages(self, benchmark: str, setup: str) -> dict:
+        counts = self.cells[(benchmark, setup)]
         total = max(sum(counts.values()), 1)
         return {k: 100.0 * v / total for k, v in counts.items()}
 
-    def average(self, setup: str, policy=DEFAULT_POLICY) -> dict:
+    def average(self, setup: str) -> dict:
         """Average class percentages across benchmarks for one setup."""
         acc: dict[str, float] = {}
         n = 0
@@ -51,63 +46,48 @@ class FigureResult:
             if (bench, setup) not in self.cells:
                 continue
             n += 1
-            for cls, pct in self.percentages(bench, setup, policy).items():
+            for cls, pct in self.percentages(bench, setup).items():
                 acc[cls] = acc.get(cls, 0.0) + pct
         return {k: v / max(n, 1) for k, v in acc.items()}
 
     def vulnerability(self, benchmark: str, setup: str) -> float:
-        return 100.0 * self.cells[(benchmark, setup)].vulnerability()
+        return 100.0 * vulnerability(self.cells[(benchmark, setup)])
 
     def average_vulnerability(self, setup: str) -> float:
         avg = self.average(setup)
         return sum(v for k, v in avg.items() if k != MASKED)
 
-    def telemetry(self):
-        """Merged :class:`CampaignTelemetry` over all instrumented cells.
-
-        ``None`` when no cell carries telemetry (e.g. results loaded
-        from logs rather than produced by a campaign run).
-        """
-        from repro.obs.profile import CampaignTelemetry
-        merged = None
-        for result in self.cells.values():
-            if result.telemetry is None:
-                continue
-            if merged is None:
-                merged = CampaignTelemetry()
-            merged.merge(result.telemetry)
-        return merged
-
     # -- rendering --------------------------------------------------------
 
-    def render(self, policy=DEFAULT_POLICY, bar_width: int = 40) -> str:
+    def render(self, bar_width: int = 40) -> str:
         """Text rendering of the paper-figure content."""
+        classes = DEFAULT_POLICY.classes()
         lines = [f"Faulty behavior classification — {self.structure}",
                  "  legend: " + "  ".join(f"{g}={c}" for c, g in
                                           _BAR_GLYPHS.items())]
         header = (f"  {'benchmark':<10s}{'setup':<7s}"
-                  + "".join(f"{c:>9s}" for c in policy.classes())
+                  + "".join(f"{c:>9s}" for c in classes)
                   + f"{'vuln%':>8s}  bar")
         lines.append(header)
         for bench in list(self.benchmarks) + ["AVG"]:
             for setup in self.setups:
                 if bench == "AVG":
-                    pct = self.average(setup, policy)
+                    pct = self.average(setup)
                 else:
                     if (bench, setup) not in self.cells:
                         continue
-                    pct = self.percentages(bench, setup, policy)
+                    pct = self.percentages(bench, setup)
                 vuln = sum(v for k, v in pct.items() if k != MASKED)
                 bar = _stacked_bar(pct, bar_width)
                 row = (f"  {bench:<10s}{SETUP_SHORT.get(setup, setup):<7s}"
                        + "".join(f"{pct.get(c, 0.0):>8.1f}%"
-                                 for c in policy.classes())
+                                 for c in classes)
                        + f"{vuln:>7.1f}%  |{bar}|")
                 lines.append(row)
             lines.append("")
         return "\n".join(lines)
 
-    def summary_rows(self, policy=DEFAULT_POLICY) -> list[dict]:
+    def summary_rows(self) -> list[dict]:
         """Machine-readable rows (benchmark, setup, per-class %).
 
         Per-cell rows carry the statistical error margin of their
@@ -121,15 +101,15 @@ class FigureResult:
             for setup in self.setups:
                 if bench != "AVG" and (bench, setup) not in self.cells:
                     continue
-                pct = (self.average(setup, policy) if bench == "AVG"
-                       else self.percentages(bench, setup, policy))
+                pct = (self.average(setup) if bench == "AVG"
+                       else self.percentages(bench, setup))
                 vuln = sum(v for k, v in pct.items() if k != MASKED)
                 row = {"benchmark": bench,
                        "setup": SETUP_SHORT.get(setup, setup),
                        "vulnerability": round(vuln, 2),
                        **{k: round(v, 2) for k, v in pct.items()}}
                 if bench != "AVG":
-                    n = self.cells[(bench, setup)].injections
+                    n = sum(self.cells[(bench, setup)].values())
                     if n:
                         row["error_margin_99"] = round(
                             100 * achieved_error_margin(n), 2)
@@ -147,40 +127,34 @@ def _stacked_bar(pct: dict, width: int) -> str:
     return (out + " " * width)[:width]
 
 
-def run_figure(structure: str, benchmarks=None, setups=SETUPS,
-               injections: int | None = None, seed: int = 1,
-               early_stop: bool = True, progress=None, tracer=None,
-               events_path=None) -> FigureResult:
-    """Run every (benchmark, setup) campaign of one figure.
-
-    Equivalent to one of the paper's Figs. 2-6 for the given structure;
-    with ``injections=2000`` it is the paper's full per-figure campaign.
-    A *tracer* (or *events_path* JSONL capture) observes every cell's
-    campaign; ``FigureResult.telemetry()`` merges the per-cell summaries.
-    """
+def figure_spec(structures, benchmarks=None, setups=SETUPS,
+                injections: int | None = None, seed: int = 1):
+    """The one study behind the figures of *structures*: a unit per
+    (setup, benchmark, structure) cell of transient flips, pruned by
+    golden-trace analysis.  *benchmarks* defaults to all ten and
+    *injections* to ``default_injections()`` (the paper: 2000)."""
     from repro.bench import suite
-    from repro.obs.trace import JSONLSink, Tracer
-    if benchmarks is None:
-        benchmarks = suite.benchmark_names()
-    if injections is None:
-        injections = default_injections()
-    own_tracer = None
-    if tracer is None and events_path is not None:
-        tracer = own_tracer = Tracer(JSONLSink(events_path))
-    fig = FigureResult(structure, benchmarks, setups)
-    try:
-        for bench in benchmarks:
-            for setup in setups:
-                result = run_campaign(setup, bench, structure,
-                                      injections=injections, seed=seed,
-                                      early_stop=early_stop, tracer=tracer)
-                fig.add(result)
-                if progress is not None:
-                    progress(bench, setup, result)
-    finally:
-        if own_tracer is not None:
-            own_tracer.close()
-    return fig
+    from repro.sched import StudySpec
+    return StudySpec(setups=setups,
+                     benchmarks=benchmarks or suite.benchmark_names(),
+                     structures=structures,
+                     injections=(default_injections() if injections is None
+                                 else injections),
+                     seed=seed, prune="analyze")
+
+
+def study_figures(spec, units: dict) -> list[FigureResult]:
+    """One :class:`FigureResult` per structure of a :func:`figure_spec`
+    study, from its per-unit counts (unit id -> counts, as
+    ``StudyResult.classifications()`` and ``merge_studies`` give them);
+    a unit without counts leaves its cell out."""
+    from repro.sched import WorkUnit
+    figures = {s: FigureResult(s, spec.benchmarks, spec.setups)
+               for s in spec.structures}
+    for uid, counts in units.items():
+        unit = WorkUnit.from_id(uid)
+        figures[unit.structure].cells[(unit.benchmark, unit.setup)] = counts
+    return list(figures.values())
 
 
 def golden_stats(benchmarks=None, setups=SETUPS, scaled=True) -> dict:

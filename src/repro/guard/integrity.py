@@ -11,8 +11,10 @@ that hole:
   ``OoOCore.snapshot()`` blob (cycle-safe over the ROB/LSQ entry graph,
   identity-free, insensitive to shared-immutable aliasing);
 * :meth:`IntegrityVerifier.seal` runs once after ``run_golden()`` /
-  ``adopt_golden()``: it stows a compressed pickle **vault** of the
-  pristine state and every checkpoint.  The expected digests are taken
+  ``adopt_golden()``: it keeps the dispatcher's golden blob — the
+  compressed pickle of the pristine state and every checkpoint that a
+  pool or a study also ships — as its **vault**, serialized before the
+  first restore.  The expected digests are taken
   from the vault, not from the live stores a faulty run may have
   touched, the first time a verify is due, and then kept; a campaign
   that never reaches the cadence digests nothing;
@@ -135,15 +137,12 @@ class IntegrityVerifier:
         self._restores = 0
         self._vault: bytes | None = None
 
-    def seal(self, pristine: dict, checkpoints: CheckpointStore) -> None:
-        """Stow the rebuild vault; its digests are derived on demand."""
+    def seal(self, vault: bytes) -> None:
+        """Keep *vault*, a golden blob
+        (:func:`repro.core.parallel.build_golden_payload`), as the
+        rebuild source; its digests are derived on demand."""
         self._digests = None
-        self._vault = zlib.compress(pickle.dumps({
-            "pristine": pristine,
-            "snapshots": checkpoints.snapshots,
-            "interval": checkpoints.interval,
-            "max_snaps": checkpoints.max_snaps,
-        }, protocol=pickle.HIGHEST_PROTOCOL), 1)
+        self._vault = vault
 
     @property
     def sealed(self) -> bool:

@@ -311,12 +311,15 @@ class Program:
         Code and data sections to map before execution.
     symbols:
         Label → address map (useful in tests and debugging).
+    name:
+        A suite program's benchmark name (it names the access trace).
     """
 
     isa: str
     entry: int
     sections: list
     symbols: dict = field(default_factory=dict)
+    name: str = ""
 
     @property
     def code_size(self) -> int:

@@ -29,8 +29,9 @@ from repro.obs.metrics import MetricsRegistry
 class CampaignTelemetry:
     """Condensed per-campaign observability report.
 
-    Attached to ``CampaignResult.telemetry`` by every campaign; merge
-    across cells with :meth:`merge` for figure-level totals.
+    Attached to ``CampaignResult.telemetry`` by every campaign; totals
+    over many cells come from one registry of all their events, as a
+    study folds them (or from merged registries).
     """
 
     golden_s: float = 0.0
@@ -104,23 +105,6 @@ class CampaignTelemetry:
             early_stops=metrics.family("early_stops."),
             prunes=metrics.family("prune."),
         )
-
-    def merge(self, other: "CampaignTelemetry") -> "CampaignTelemetry":
-        """Accumulate another campaign's telemetry into this one."""
-        for attr in ("golden_s", "maskgen_s", "inject_s", "classify_s",
-                     "wall_s", "snapshot_s", "restore_s", "injections",
-                     "golden_cycles", "checkpoint_bytes",
-                     "cycles_simulated", "cycles_saved",
-                     "checkpoint_restores", "cold_starts"):
-            setattr(self, attr, getattr(self, attr) + getattr(other, attr))
-        self.golden_checkpoints = max(self.golden_checkpoints,
-                                      other.golden_checkpoints)
-        for src, dst in ((other.outcomes, self.outcomes),
-                         (other.early_stops, self.early_stops),
-                         (other.prunes, self.prunes)):
-            for k, v in src.items():
-                dst[k] = dst.get(k, 0) + v
-        return self
 
     def to_dict(self) -> dict:
         d = asdict(self)

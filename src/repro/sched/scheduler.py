@@ -179,7 +179,8 @@ class Scheduler:
 
             # Results first, then deaths, then timeouts (pool order); a
             # failed unit goes back on the run's ready list.
-            for lease, kind, payload in pool.poll():
+            settled = pool.poll()
+            for lease, kind, payload in settled:
                 uid = lease.unit.unit_id
                 delay = run.settle(lease, kind, payload)
                 self._notify(uid, FAILED if delay is not None
@@ -187,7 +188,8 @@ class Scheduler:
                 queue_depth()
 
             heartbeat()
-            if run.ready or pool.running:
+            # A settled lease freed a slot: lease again at once.
+            if not settled and (run.ready or pool.running):
                 time.sleep(0.01)
 
         wall_s = time.monotonic() - t0

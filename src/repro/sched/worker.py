@@ -5,11 +5,13 @@ the one cell pipeline, :class:`~repro.core.campaign.InjectionCampaign`:
 build (or adopt) the golden run, regenerate the unit's deterministic
 masks, skip every ``set_id`` its logs repository already holds (the
 mid-unit resume path), inject the rest, and classify.  It reuses
-``repro.core.parallel``'s compressed golden/checkpoint shipping — the
-scheduler caches one :func:`build_golden_payload` blob per
-(setup, benchmark) and ships it to every unit of that pair leased after
-the blob arrived; the plan's pair-interleaved order makes that every
-unit but the first in the usual case.
+``repro.core.parallel``'s compressed golden/checkpoint shipping: a
+unit that ran the golden run serializes it once, before its first
+injection (``InjectorDispatcher.golden_blob``, also its guard vault),
+and the scheduler caches that blob per (setup, benchmark) and ships it
+to every unit of that pair leased after the blob arrived; the plan's
+pair-interleaved order makes that every unit but the first in the
+usual case.
 
 :func:`unit_entry` is the ``multiprocessing.Process`` target: it sends
 the result dict (records summary, trace events, optionally the golden
@@ -35,15 +37,14 @@ from __future__ import annotations
 import fcntl
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 
 from repro.core.campaign import InjectionCampaign
-from repro.core.parallel import (_ListSink, adopt_golden_payload,
-                                 build_golden_payload)
+from repro.core.parallel import _ListSink, adopt_golden_payload
 from repro.core.parser import classify_all
 from repro.obs.trace import Tracer
-from repro.prune import PRUNE_OFF
 from repro.sched.plan import StudySpec, WorkUnit
 from repro.sim.config import setup_config
 
@@ -112,7 +113,12 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
     campaign.prepare(injections=spec.injections,
                      confidence=spec.confidence,
                      error_margin=spec.error_margin)
-    ran_golden = campaign.dispatcher.golden_outcome is not None
+    # Serialized before the first restore, so no faulty run's leak
+    # reaches the later units of the pair; it carries the access trace
+    # when pruning, so they skip re-recording too.
+    blob = (campaign.dispatcher.golden_blob()
+            if want_blob and campaign.dispatcher.golden_outcome is not None
+            else None)
     resumed = campaign.logs.set_ids
     result = campaign.run()
     records = result.records
@@ -120,12 +126,6 @@ def run_unit(unit: WorkUnit, spec: StudySpec, logs_path, masks_path=None,
     fresh = [r for r in records if r.set_id not in resumed]
     early_stops = sum(1 for r in records if r.early_stop is not None)
     wall_s = time.perf_counter() - t0
-    # The blob carries the access trace when pruning, so later units of
-    # the same (setup, benchmark) pair skip re-recording too.  Built
-    # before the events are listed: it emits golden_packed.
-    blob = (build_golden_payload(campaign.dispatcher,
-                                 include_trace=spec.prune != PRUNE_OFF)
-            if want_blob and ran_golden else None)
     return {
         "ok": True,
         "unit": unit.unit_id,
@@ -170,6 +170,9 @@ def _lock_logs(logs_path) -> int:
 
 def unit_entry(conn, payload: dict) -> None:
     """Process target: run the unit, ship the result dict, never raise."""
+    # A forked worker inherits the parent's SIGTERM handler, which only
+    # cancels the parent's loop; LeasePool.terminate must kill it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _exit_with_parent()
     unit_id, lock = "?", None
     try:

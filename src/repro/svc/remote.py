@@ -93,6 +93,7 @@ class WorkerAgent:
         self.idle_wait_s = idle_wait_s
         self._rng = random.Random()
         self._stopping = False
+        self._poll = None            # the lease long-poll in flight
         # Contract learned at registration.
         self.heartbeat_s = 5.0
         self.epoch: int | None = None
@@ -116,8 +117,15 @@ class WorkerAgent:
             self.pool.terminate_all()
 
     def stop(self) -> None:
-        """Thread/signal-safe: finish the current call, then exit."""
+        """Thread/signal-safe: end a lease long-poll in flight at once,
+        finish any other call, then exit."""
         self._stopping = True
+        try:            # the poll's blocked read then sees end of stream
+            with socket.fromfd(self._poll.fileno(), socket.AF_INET,
+                               socket.SOCK_STREAM) as sock:
+                sock.shutdown(socket.SHUT_RDWR)
+        except (AttributeError, OSError, ValueError):
+            pass                       # no poll in flight
 
     def step(self) -> None:
         """One agent round: report, heartbeat, then ask for work."""
@@ -327,8 +335,9 @@ class WorkerAgent:
 
         Keepalives are consumed as liveness; a stream silent past
         *read_timeout_s* raises ``OSError`` (socket timeout) and the
-        caller treats it as a failed poll.  No duplication chaos here —
-        duplicating a lease request would grant two leases on purpose.
+        caller treats it as a failed poll; :meth:`stop` ends it (None).
+        No duplication chaos here — duplicating a lease request would
+        grant two leases on purpose.
         """
         if self._stopping:
             raise AgentStopped()
@@ -340,11 +349,14 @@ class WorkerAgent:
         try:
             with urllib.request.urlopen(req,
                                         timeout=read_timeout_s) as resp:
-                for raw in resp:
+                self._poll = resp
+                while not self._stopping:
+                    raw = resp.readline()
+                    if not raw:
+                        break
                     row = self._parse(raw)
-                    if row.get("keepalive"):
-                        continue
-                    return row
+                    if not row.get("keepalive"):
+                        return row
         except urllib.error.HTTPError as exc:
             data = exc.read()
             if exc.code == 401:
@@ -352,6 +364,8 @@ class WorkerAgent:
                     f"service rejected our token (401): "
                     f"{self._parse(data).get('error', '')}") from None
             return self._parse(data)
+        finally:
+            self._poll = None
         return None
 
     def _get_bytes(self, path: str) -> bytes | None:

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 ``python -m repro.tools figures`` regenerates the paper's Figs. 2-6
-content (classification per structure × benchmark × setup) and writes
-text renderings plus machine-readable JSON.
+content (classification per structure × benchmark × setup): it runs
+the figures' cells as one pruned study in ``--out`` (a rerun resumes
+it) and writes text renderings plus machine-readable JSON beside it.
 
 ``python -m repro.tools stats`` dumps the golden runtime statistics
 behind the paper's remark explanations.
@@ -54,44 +55,43 @@ import time
 from pathlib import Path
 
 from repro.core.ioutil import atomic_write_text
-from repro.core.report import SETUPS, golden_stats, run_figure
+from repro.core.report import golden_stats
 from repro.prune import PRUNE_POLICIES
 
-FIGURE_STRUCTURES = {
-    "fig2": "int_rf",
-    "fig3": "l1d",
-    "fig4": "l1i",
-    "fig5": "l2",
-    "fig6": "lsq",
-}
+FIGURE_NAMES = {"int_rf": "fig2", "l1d": "fig3", "l1i": "fig4",
+                "l2": "fig5", "lsq": "fig6"}
 
 
 def _cmd_figures(args) -> int:
+    from repro.core.report import figure_spec, study_figures
+    from repro.sched import CampaignPlan, Scheduler
+    from repro.sched.study import JOURNAL_NAME
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    structures = args.structures or list(FIGURE_STRUCTURES.values())
-    benchmarks = args.benchmarks or None
-    for structure in structures:
-        fig_name = next((k for k, v in FIGURE_STRUCTURES.items()
-                         if v == structure), structure)
-        t0 = time.time()
+    spec = figure_spec(args.structures or list(FIGURE_NAMES),
+                       benchmarks=args.benchmarks or None,
+                       injections=args.injections, seed=args.seed)
+    t0 = time.monotonic()
 
-        def progress(bench, setup, result, _t0=t0, _s=structure):
-            print(f"[{time.time() - _t0:7.1f}s] {_s:7s} {bench:7s} "
-                  f"{setup:10s} vuln={100 * result.vulnerability():5.1f}% "
-                  f"early={result.early_stops}/{result.injections}",
-                  flush=True)
+    def progress(uid, state, done, total):
+        print(f"[{time.monotonic() - t0:7.1f}s] {uid:44s} {state:11s} "
+              f"{done}/{total}", flush=True)
 
-        events_path = (outdir / f"{fig_name}_{structure}.events.jsonl"
-                       if args.events else None)
-        fig = run_figure(structure, benchmarks=benchmarks,
-                         injections=args.injections, seed=args.seed,
-                         progress=progress, events_path=events_path)
+    try:
+        result = _run_scheduler(
+            Scheduler(CampaignPlan(spec), outdir, progress=progress),
+            resume=(outdir / JOURNAL_NAME).exists())
+    except ValueError as exc:
+        print(f"repro.tools figures: {exc}", file=sys.stderr)
+        return 2
+    if not result.ok:
+        return _print_study_result(result, as_json=False)
+    for fig in study_figures(spec, result.classifications()):
+        name = f"{FIGURE_NAMES.get(fig.structure, fig.structure)}_" \
+               f"{fig.structure}"
         text = fig.render()
-        atomic_write_text(outdir / f"{fig_name}_{structure}.txt", text)
-        rows = fig.summary_rows()
-        atomic_write_text(outdir / f"{fig_name}_{structure}.json",
-                          json.dumps(rows, indent=1))
+        atomic_write_text(outdir / f"{name}.txt", text)
+        atomic_write_text(outdir / f"{name}.json",
+                          json.dumps(fig.summary_rows(), indent=1))
         print(text, flush=True)
     return 0
 
@@ -354,7 +354,8 @@ def _print_study_result(result, as_json: bool) -> int:
     return 0 if result.ok else 3
 
 
-def _run_scheduler(sched, resume: bool, as_json: bool) -> int:
+def _run_scheduler(sched, resume: bool):
+    """``sched.run(resume)``, with SIGTERM cancelling it gracefully."""
     import signal
 
     def on_term(signum, frame):
@@ -366,11 +367,10 @@ def _run_scheduler(sched, resume: bool, as_json: bool) -> int:
     except ValueError:
         pass                        # not the main thread; no handler
     try:
-        result = sched.run(resume=resume)
+        return sched.run(resume=resume)
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-    return _print_study_result(result, as_json)
 
 
 def _cmd_sched_run(args) -> int:
@@ -383,7 +383,8 @@ def _cmd_sched_run(args) -> int:
                  if args.shard else "")
         print(f"study: {len(plan)} units{shard} -> {args.out}")
     sched = Scheduler(plan, args.out, **_sched_knobs(args))
-    return _run_scheduler(sched, resume=False, as_json=args.json)
+    return _print_study_result(_run_scheduler(sched, resume=False),
+                              args.json)
 
 
 def _cmd_sched_resume(args) -> int:
@@ -399,7 +400,8 @@ def _cmd_sched_resume(args) -> int:
               f"`python -m repro.tools fsck {args.study_dir}`",
               file=sys.stderr)
         return 2
-    return _run_scheduler(sched, resume=True, as_json=args.json)
+    return _print_study_result(_run_scheduler(sched, resume=True),
+                              args.json)
 
 
 def _fmt_eta(eta_s) -> str:
@@ -833,10 +835,10 @@ def main(argv=None) -> int:
     p_fig.add_argument("--injections", type=int, default=None,
                        help="injections per cell (paper: 2000)")
     p_fig.add_argument("--seed", type=int, default=1)
-    p_fig.add_argument("--out", default="results")
-    p_fig.add_argument("--events", action="store_true",
-                       help="capture per-structure telemetry event "
-                            "streams next to the figure outputs")
+    p_fig.add_argument("--out", default="results",
+                       help="study directory (journal, events, logs, "
+                            "masks) and figure outputs; a rerun resumes "
+                            "it")
     p_fig.set_defaults(fn=_cmd_figures)
 
     p_st = sub.add_parser("stats", help="golden runtime statistics")

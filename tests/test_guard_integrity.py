@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pickle
+import zlib
 
 import pytest
 
@@ -223,6 +224,39 @@ def test_second_drift_after_rebuild_is_fatal(monkeypatch):
     with pytest.raises(CampaignError, match="after a rebuild"):
         d.inject(fault_set, early_stop=False)
     assert d._integrity.contaminations == 1
+
+
+def test_vault_is_the_golden_blob(monkeypatch):
+    """The golden run is serialized once: the vault is the blob."""
+    monkeypatch.delenv("REPRO_GUARD_CHAOS", raising=False)
+    d = _dispatcher("MaFIN-x86", guard="basic")
+    assert d._integrity._vault is d.golden_blob()
+
+
+def test_unit_ships_its_golden_sealed_before_a_leak(tmp_path, monkeypatch):
+    """A unit serializes its golden run before its first restore, so a
+    leak into the golden stores during its own injections — unseen by
+    the basic guard's sparse checks — never reaches the blob it ships
+    to the later units of its pair."""
+    from repro.sched import StudySpec, WorkUnit, run_unit
+    spec = StudySpec(setups=("MaFIN-x86",), benchmarks=("sha",),
+                     structures=("int_rf",), injections=4, seed=3,
+                     guard="basic")
+    unit = WorkUnit("MaFIN-x86", "sha", "int_rf")
+
+    def shipped_digests(name):
+        res = run_unit(unit, spec, tmp_path / f"{name}.jsonl",
+                       want_blob=True)
+        payload = pickle.loads(zlib.decompress(res["golden_blob"]))
+        return [state_digest(state) for state in
+                (payload["pristine"],
+                 *(state for _, state in payload["snapshots"]))]
+
+    monkeypatch.delenv("REPRO_GUARD_CHAOS", raising=False)
+    clean = shipped_digests("clean")
+    monkeypatch.setenv("REPRO_GUARD_CHAOS", "leak:1")
+    assert BASIC.integrity_every > spec.injections
+    assert shipped_digests("leaked") == clean
 
 
 def test_guard_off_never_digests(monkeypatch):

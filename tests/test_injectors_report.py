@@ -71,16 +71,17 @@ def _fake_result(setup, benchmark, reasons):
 
 class TestFigureResult:
     def make_fig(self):
-        fig = FigureResult("l1d", benchmarks=("bm1", "bm2"))
-        fig.add(_fake_result("MaFIN-x86", "bm1",
-                             ["ok", "ok", "sdc", "assert"]))
-        fig.add(_fake_result("MaFIN-x86", "bm2", ["ok", "ok", "ok", "sdc"]))
-        fig.add(_fake_result("GeFIN-x86", "bm1",
-                             ["ok", "sdc", "sdc", "killed"]))
-        fig.add(_fake_result("GeFIN-x86", "bm2", ["ok", "ok", "sdc", "sdc"]))
-        fig.add(_fake_result("GeFIN-ARM", "bm1", ["ok"] * 4))
-        fig.add(_fake_result("GeFIN-ARM", "bm2", ["ok", "ok", "ok", "sdc"]))
-        return fig
+        """A figure's cells are classification counts, as a study's
+        units report them."""
+        runs = {("bm1", "MaFIN-x86"): ["ok", "ok", "sdc", "assert"],
+                ("bm2", "MaFIN-x86"): ["ok", "ok", "ok", "sdc"],
+                ("bm1", "GeFIN-x86"): ["ok", "sdc", "sdc", "killed"],
+                ("bm2", "GeFIN-x86"): ["ok", "ok", "sdc", "sdc"],
+                ("bm1", "GeFIN-ARM"): ["ok"] * 4,
+                ("bm2", "GeFIN-ARM"): ["ok", "ok", "ok", "sdc"]}
+        return FigureResult("l1d", benchmarks=("bm1", "bm2"), cells={
+            cell: _fake_result(cell[1], cell[0], reasons).classify()
+            for cell, reasons in runs.items()})
 
     def test_percentages(self):
         fig = self.make_fig()
@@ -97,6 +98,7 @@ class TestFigureResult:
 
     def test_vulnerabilities(self):
         fig = self.make_fig()
+        assert fig.cells[("bm1", "GeFIN-x86")][CRASH] == 1
         assert fig.vulnerability("bm1", "GeFIN-x86") == pytest.approx(75.0)
         assert fig.average_vulnerability("GeFIN-ARM") == pytest.approx(12.5)
 

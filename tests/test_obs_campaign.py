@@ -112,11 +112,14 @@ class TestTelemetrySummary:
         assert "injections/sec" in text and "checkpoint speedup" in text
 
     def test_round_trip_and_merge(self, instrumented):
-        t = instrumented[0].telemetry
+        result, _, metrics = instrumented
+        t = result.telemetry
         clone = CampaignTelemetry.from_dict(
             json.loads(json.dumps(t.to_dict())))
         assert clone.to_dict() == t.to_dict()
-        merged = CampaignTelemetry().merge(t).merge(t)
+        # Totals over cells merge the cells' metrics, as a study does.
+        merged = CampaignTelemetry.from_metrics(
+            MetricsRegistry().merge(metrics).merge(metrics))
         assert merged.injections == 2 * N
         assert merged.cycles_saved == 2 * t.cycles_saved
         assert merged.outcomes["exit"] == 2 * t.outcomes["exit"]

@@ -135,8 +135,10 @@ class TestNoHttpStack:
                 last = [json.loads(line) for line in resp][-1]
             assert last["name"] == "study_complete"
             assert last["tally"]["done"] == 1
-            # Stopping the server ends the idle worker's lease long-poll.
+            # An idle worker honours SIGTERM at once: its lease
+            # long-poll on the still-running server ends with it.
             worker.send_signal(signal.SIGTERM)
+            worker.wait(timeout=5)
         finally:
             server.stop()
             thread.join(10.0)

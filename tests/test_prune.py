@@ -313,7 +313,7 @@ class TestBuildPrunePlan:
         parent = InjectorDispatcher(config, tiny_program(config.isa),
                                     record_trace=True)
         parent.run_golden()
-        blob = build_golden_payload(parent, include_trace=True)
+        blob = build_golden_payload(parent)
         child = InjectorDispatcher(config, tiny_program(config.isa))
         adopt_golden_payload(child, blob)
         calls.clear()

@@ -222,6 +222,37 @@ class TestPoolCompletionOrder:
                                 "worker exited with code 0")]
 
 
+class TestPoolTerminate:
+    def test_terminate_kills_a_worker_forked_under_a_handler(
+            self, tmp_path, monkeypatch):
+        """`sched run`, `figures` and the svc commands fork their unit
+        workers under a SIGTERM handler that only cancels the loop.  A
+        worker must still die on ``LeasePool.terminate``: a cancelled
+        study would otherwise wait at exit for a worker that is blocked
+        writing a result nobody reads."""
+        unit = WorkUnit.from_id(TestOneWriterPerUnit.UID)
+        monkeypatch.setenv("REPRO_SCHED_CHAOS", f"{unit.unit_id}=hang:1")
+        logs = tmp_path / "logs.jsonl"
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            pool = LeasePool(1)
+            lease = pool.launch(unit, spec(), logs_path=logs,
+                                masks_path=None)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        deadline = time.monotonic() + 30
+        while not logs.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)             # the worker has reached its unit
+        try:
+            pool.terminate(lease)
+            assert not lease.proc.is_alive()
+            assert lease.proc.exitcode == -signal.SIGTERM
+        finally:
+            if lease.proc.is_alive():    # a survivor must not hang pytest
+                lease.proc.kill()
+                lease.proc.join(5)
+
+
 class TestScheduler:
     def test_study_matches_direct_campaigns(self, tmp_path):
         sp = spec()

@@ -130,20 +130,6 @@ class TestObsSummarizeCommand:
             tools.main(["obs"])
 
 
-class TestFiguresEventsCapture:
-    def test_figures_events_flag(self, tmp_path):
-        rc = tools.main(["figures", "--structures", "int_rf",
-                         "--benchmarks", "sha", "--injections", "2",
-                         "--out", str(tmp_path), "--events"])
-        assert rc == 0
-        events = tmp_path / "fig2_int_rf.events.jsonl"
-        assert events.exists()
-        names = [json.loads(line)["name"]
-                 for line in events.read_text().splitlines()]
-        # Three setups' campaigns share the figure's event stream.
-        assert names.count("campaign_end") == 3
-
-
 class TestStatsCommand:
     def test_stats_output(self, tmp_path, capsys):
         out_file = tmp_path / "stats.json"
